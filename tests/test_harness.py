@@ -17,6 +17,13 @@ from tlonemax import (
 from tlonemax.harness import ConfigError, PointResult, report_csv
 
 
+_CSV_HEADER_TEXT = (
+    "algorithm,n,mu,trials,opt_count,eventI_count,eventII_count,budget_count,"
+    "success_rate,wilson95_lo,wilson95_hi,cond_mean_gens,cond_var_gens,"
+    "theorem_bound,seed"
+)
+
+
 def _small_config(**overrides):
     fields = dict(algorithm="rls", n_values=[5], trials=300, master_seed=99, workers=1)
     fields.update(overrides)
@@ -132,6 +139,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(_small_config(trials=0))
 
+    def test_golden_report_bytes(self):
+        # Pinned across commits: a refactor must keep these bytes, and only an
+        # intentional change of the engines' draw order may update them.  The
+        # oea n=40 point draws flip counts of 3 or more (the generator.choice
+        # path); the muea point reaches every outcome, the budget included.
+        golden = [
+            (dict(algorithm="rls", n_values=[6], trials=2000),
+             "rls,6,1,2000,335,1174,491,0,0.1675,0.151775,0.1845,11.6179,48.1943,"
+             "-4.63365,20240901\n"),
+            (dict(algorithm="oea", n_values=[6, 40], trials=500),
+             "oea,6,1,500,36,388,76,0,0.072,0.052458,0.0980684,8.66667,65.7778,"
+             "-4.63365,20240901\n"
+             "oea,40,1,500,1,420,79,0,0.002,0.000353136,0.0112407,300,0,"
+             "-11.7388,20240901\n"),
+            (dict(algorithm="muea", n_values=[8], mu_values=[4], trials=200),
+             "muea,8,4,200,152,28,3,17,0.76,0.696267,0.813934,76.8684,1928.46,"
+             "-16.0973,20240901\n"),
+        ]
+        for fields, rows in golden:
+            config = ExperimentConfig(master_seed=20240901, workers=1, **fields)
+            assert report_csv(run_experiment(config)) == _CSV_HEADER_TEXT + "\n" + rows
+
     def test_population_point(self):
         report = run_experiment(_small_config(algorithm="muea", n_values=[5],
                                               mu_values=[30], trials=20))
@@ -147,9 +176,7 @@ class TestReportFiles:
         path = tmp_path / "report.csv"
         write_report(report, str(path), "csv")
         text = path.read_text()
-        header = ("algorithm,n,mu,trials,opt_count,eventI_count,eventII_count,"
-                  "budget_count,success_rate,wilson95_lo,wilson95_hi,cond_mean_gens,"
-                  "cond_var_gens,theorem_bound,seed")
+        header = _CSV_HEADER_TEXT
         assert text.count(header) == 1 and text.startswith(header)
         rows = list(csv.DictReader(text.splitlines()))
         assert len(rows) == 1
