@@ -13,15 +13,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algorithms import (
-    Alg1State,
-    MutationKind,
-    Population,
-    alg1_step,
-    alg2_step,
-)
-from .core import BitString, RandomStream
-from .fitness import TimePair
+from .algorithms import MutationKind, Population, alg1_step, alg2_step
+from .core import RandomStream
+from .fitness import OutcomeKind, classify
 from .harness import (
     ExperimentConfig,
     report_csv,
@@ -39,6 +33,7 @@ from .oracle import (
     h2_log,
     lemma2_bruteforce,
     lemma2_exact,
+    lemma2_lower_bound,
     markov_full_absorption,
     markov_lumped_absorption,
     min_population,
@@ -67,7 +62,7 @@ def criterion_1() -> CriterionResult:
             exact = lemma2_exact(n, a)
             brute = lemma2_bruteforce(n, a)
             worst = max(worst, abs(float(exact - brute)))
-            if float(exact) <= 1.0 - math.e * a / n:
+            if float(exact) <= lemma2_lower_bound(n, a):
                 return CriterionResult(
                     1, "conditional probability equivalence", False,
                     f"lower bound violated at n={n}, a={a}",
@@ -182,16 +177,16 @@ def criterion_6(workers: int | None = None) -> CriterionResult:
     return CriterionResult(6, "runtime scaling ratio spread", not table.flagged, detail)
 
 
-def _random_event_i_pair(n: int, rng: RandomStream) -> TimePair:
-    # first bit 1, the rest anything except all-ones
-    rest = rng.random_bits(n - 1)
-    while rest == (1 << (n - 1)) - 1:
-        rest = rng.random_bits(n - 1)
-    return TimePair(0, BitString(n, (rest << 1) | 1))
+def _random_event_i_slot(n: int, rng: RandomStream) -> tuple[int, int]:
+    # first bit 1, the rest uniform, redrawn while the slot is not in event I
+    while True:
+        value = (rng.random_bits(n - 1) << 1) | 1
+        if classify(0, value, n) is OutcomeKind.STAGNATED_EVENT_I:
+            return (0, value)
 
 
-def _event_ii_pair(n: int) -> TimePair:
-    return TimePair(1, BitString(n, (1 << n) - 1))
+def _event_ii_slot(n: int) -> tuple[int, int]:
+    return (1, (1 << n) - 1)
 
 
 def criterion_7() -> CriterionResult:
@@ -199,25 +194,21 @@ def criterion_7() -> CriterionResult:
     n, steps, trials_per_case = 10, 10_000, 250
     rng = RandomStream(_SEED, 7)
 
-    def run_single(make_pair: Callable[[], TimePair], check) -> bool:
-        state = Alg1State(make_pair(), 1, MutationKind.BITWISE)
+    def run_single(make_slot: Callable[[], tuple[int, int]]) -> bool:
+        b, value = make_slot()
+        ones = value.bit_count()
+        start = classify(b, value, n)
         for _ in range(steps):
-            state = alg1_step(state, rng)
-            pair = state.pair
-            if not check(pair) or (pair.prev_first_bit == 0 and pair.current.all_ones()):
-                return False
+            step = alg1_step(b, value, ones, n, MutationKind.BITWISE, rng)
+            if step is not None:
+                b, value, ones = step
+                if classify(b, value, n) is not start:
+                    return False
         return True
 
-    def is_event_i(p: TimePair) -> bool:
-        v = p.current.value
-        return p.prev_first_bit == 0 and v & 1 == 1 and v >> 1 != (1 << (n - 1)) - 1
-
-    def is_event_ii(p: TimePair) -> bool:
-        return p.prev_first_bit == 1 and p.current.all_ones()
-
-    def run_population(make_pair: Callable[[], TimePair], counter: str) -> bool:
+    def run_population(make_slot: Callable[[], tuple[int, int]], counter: str) -> bool:
         mu = 4
-        pop = Population([make_pair() for _ in range(mu)])
+        pop = Population(n, [make_slot() for _ in range(mu)])
         for _ in range(steps):
             alg2_step(pop, rng)
             if getattr(pop, counter) != mu or pop.optimum_generated:
@@ -225,10 +216,10 @@ def criterion_7() -> CriterionResult:
         return True
 
     cases = [
-        ("event I", lambda: run_single(lambda: _random_event_i_pair(n, rng), is_event_i)),
-        ("event II", lambda: run_single(lambda: _event_ii_pair(n), is_event_ii)),
-        ("event I'", lambda: run_population(lambda: _random_event_i_pair(n, rng), "event_i_count")),
-        ("event II'", lambda: run_population(lambda: _event_ii_pair(n), "event_ii_count")),
+        ("event I", lambda: run_single(lambda: _random_event_i_slot(n, rng))),
+        ("event II", lambda: run_single(lambda: _event_ii_slot(n))),
+        ("event I'", lambda: run_population(lambda: _random_event_i_slot(n, rng), "event_i_count")),
+        ("event II'", lambda: run_population(lambda: _event_ii_slot(n), "event_ii_count")),
     ]
     for name, runner in cases:
         for _ in range(trials_per_case):

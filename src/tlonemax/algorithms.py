@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .core import (
-    BitString,
-    RandomStream,
-    mutate_value_bitwise,
-    mutate_value_one_bit,
-    uniform_random_bitstring,
+from .core import RandomStream, mutate_value_bitwise, mutate_value_one_bit
+from .detection import event_I_prime, event_II_prime
+from .fitness import (
+    OPTIMUM_FOUND,
+    STAGNATED_EVENT_I,
+    STAGNATED_EVENT_II,
+    OutcomeKind,
+    classify,
+    fitness,
 )
-from .detection import event_I, event_I_prime, event_II, event_II_prime
-from .fitness import TimePair, is_optimum, onemax01
 
 
 class MutationKind(Enum):
@@ -30,11 +31,7 @@ class MutationKind(Enum):
     BITWISE = "bitwise"  # standard 1/n per-bit flips
 
 
-class OutcomeKind(str, Enum):
-    OPTIMUM_FOUND = "optimum"
-    STAGNATED_EVENT_I = "event_i"
-    STAGNATED_EVENT_II = "event_ii"
-    BUDGET_EXHAUSTED = "budget"
+_ONE_BIT = MutationKind.ONE_BIT  # a module alias is cheaper to read per step than the member
 
 
 @dataclass(slots=True)
@@ -49,13 +46,6 @@ class TrialOutcome:
         return self.kind in (OutcomeKind.STAGNATED_EVENT_I, OutcomeKind.STAGNATED_EVENT_II)
 
 
-@dataclass(slots=True)
-class Alg1State:
-    pair: TimePair
-    generation: int
-    mutation_kind: MutationKind
-
-
 def default_budget_alg1(n: int) -> int:
     """100 n^2: an order of magnitude above the expected hitting scale."""
     return 100 * n * n
@@ -65,28 +55,24 @@ def default_budget_alg2(n: int, mu: int) -> int:
     return 100 * mu * n
 
 
-def _offspring(value: int, ones: int, n: int, kind: MutationKind, rng: RandomStream):
-    if kind is MutationKind.ONE_BIT:
-        return mutate_value_one_bit(value, ones, n, rng)
-    return mutate_value_bitwise(value, ones, n, rng)
+def alg1_step(
+    b: int, value: int, ones: int, n: int, kind: MutationKind, rng: RandomStream
+) -> tuple[int, int, int] | None:
+    """One mutation/selection step from the state ``(b, value, ones)``.
 
-
-def initial_alg1_state(n: int, mutation_kind: MutationKind, rng: RandomStream) -> Alg1State:
-    """Random initial two generations; the pair stores only the first bit of the older one."""
-    x0 = uniform_random_bitstring(n, rng)
-    x1 = uniform_random_bitstring(n, rng)
-    return Alg1State(TimePair(x0.first_bit, x1), generation=1, mutation_kind=mutation_kind)
-
-
-def alg1_step(state: Alg1State, rng: RandomStream) -> Alg1State:
-    """One mutation/selection step; the incumbent fitness never decreases."""
-    pair = state.pair
-    cur = pair.current
-    off_value, off_ones = _offspring(cur.value, cur.ones, cur.n, state.mutation_kind, rng)
-    cur_first = cur.value & 1
-    if off_ones - cur.n * cur_first >= onemax01(pair):
-        pair = TimePair(cur_first, BitString(cur.n, off_value, off_ones))
-    return Alg1State(pair, state.generation + 1, state.mutation_kind)
+    The candidate pairs the current first bit with the offspring; it replaces
+    the incumbent when its fitness is at least the incumbent's, so ties accept
+    and the fitness never decreases.  Returns the accepted ``(b, value, ones)``
+    or None when the offspring is rejected.
+    """
+    if kind is _ONE_BIT:
+        off_value, off_ones = mutate_value_one_bit(value, ones, n, rng)
+    else:
+        off_value, off_ones = mutate_value_bitwise(value, ones, n, rng)
+    first = value & 1
+    if fitness(first, off_ones, n) >= fitness(b, ones, n):
+        return first, off_value, off_ones
+    return None
 
 
 def run_alg1(
@@ -111,32 +97,25 @@ def run_alg1(
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    full = (1 << n) - 1
-    b = rng.random_bits(n) & 1
+    b = rng.random_bits(n) & 1  # only the first bit of x^0 is stored
     value = rng.random_bits(n)
     ones = value.bit_count()
-    fit = ones - n * b
+    kind = classify(b, value, n)
     g = 1
     while True:
-        if value == full:
-            if b == 0:
-                return TrialOutcome(OutcomeKind.OPTIMUM_FOUND, g)
-            if early_exit:
-                return TrialOutcome(OutcomeKind.STAGNATED_EVENT_II, g)
-        elif early_exit and b == 0 and value & 1:
-            return TrialOutcome(OutcomeKind.STAGNATED_EVENT_I, g)
+        if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
+            return TrialOutcome(kind, g)
         if g >= budget:
             return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
-        off_value, off_ones = _offspring(value, ones, n, mutation_kind, rng)
-        cur_first = value & 1
-        off_fit = off_ones - n * cur_first
-        if off_fit >= fit:
-            b, value, ones, fit = cur_first, off_value, off_ones, off_fit
+        step = alg1_step(b, value, ones, n, mutation_kind, rng)
+        if step is not None:  # a rejection leaves the state and its class unchanged
+            b, value, ones = step
+            kind = classify(b, value, n)
         g += 1
 
 
 class Population:
-    """Ordered multiset of mu pairs with an incremental census.
+    """Ordered multiset of mu ``(b, value)`` slots with an incremental census.
 
     Pattern counts, the per-slot stagnation flags, and a fitness-bucket index
     are maintained on every replacement, so the minimum fitness, the
@@ -145,21 +124,23 @@ class Population:
     scan and asserts agreement.
     """
 
-    def __init__(self, pairs: Sequence[TimePair], generation: int = 1):
-        if not pairs:
+    def __init__(self, n: int, slots: Sequence[tuple[int, int]], generation: int = 1):
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if not slots:
             raise ValueError("population must have at least one slot")
-        n = pairs[0].current.n
-        if any(p.current.n != n for p in pairs):
-            raise ValueError("all slots must share one dimension")
+        for b, value in slots:
+            if b not in (0, 1):
+                raise ValueError(f"stored first bit must be 0 or 1, got {b}")
+            if value < 0 or value >> n:
+                raise ValueError(f"value {value} does not fit in {n} bits")
         self.n = n
-        self.mu = len(pairs)
+        self.mu = len(slots)
         self.generation = generation
-        self._full = (1 << n) - 1
-        self._rest_full = (1 << (n - 1)) - 1
-        self._prev = [p.prev_first_bit for p in pairs]
-        self._value = [p.current.value for p in pairs]
-        self._ones = [p.current.ones for p in pairs]
-        self._fit = [o - n * b for o, b in zip(self._ones, self._prev)]
+        self._prev = [b for b, _ in slots]
+        self._value = [value for _, value in slots]
+        self._ones = [value.bit_count() for value in self._value]
+        self._fit = [fitness(b, o, n) for b, o in zip(self._prev, self._ones)]
 
         self.pattern_counts: dict[tuple[int, int], int] = {
             (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0
@@ -172,42 +153,38 @@ class Population:
             self._register(i)
         self.min_fitness = min(self._buckets)
         self.optimum_generated = any(
-            b == 0 and v == self._full for b, v in zip(self._prev, self._value)
+            classify(b, v, n) is OPTIMUM_FOUND
+            for b, v in zip(self._prev, self._value)
         )
 
     @classmethod
     def random(cls, n: int, mu: int, rng: RandomStream) -> "Population":
-        pairs = []
+        """mu slots, each from two uniform strings x^0 then x^1 (x^0 keeps its first bit)."""
+        slots = []
         for _ in range(mu):
-            x0 = uniform_random_bitstring(n, rng)
-            x1 = uniform_random_bitstring(n, rng)
-            pairs.append(TimePair(x0.first_bit, x1))
-        return cls(pairs)
+            b = rng.random_bits(n) & 1
+            slots.append((b, rng.random_bits(n)))
+        return cls(n, slots)
 
     # -- census bookkeeping -------------------------------------------------
 
     def _pattern(self, i: int) -> tuple[int, int]:
         return (self._prev[i], self._value[i] & 1)
 
-    def _slot_event_i(self, i: int) -> bool:
-        v = self._value[i]
-        return self._prev[i] == 0 and v & 1 == 1 and v >> 1 != self._rest_full
-
-    def _slot_event_ii(self, i: int) -> bool:
-        return self._prev[i] == 1 and self._value[i] == self._full
-
     def _register(self, i: int) -> None:
         self.pattern_counts[self._pattern(i)] += 1
-        self.event_i_count += self._slot_event_i(i)
-        self.event_ii_count += self._slot_event_ii(i)
+        kind = classify(self._prev[i], self._value[i], self.n)
+        self.event_i_count += kind is STAGNATED_EVENT_I
+        self.event_ii_count += kind is STAGNATED_EVENT_II
         bucket = self._buckets.setdefault(self._fit[i], [])
         self._bucket_pos[i] = len(bucket)
         bucket.append(i)
 
     def _unregister(self, i: int) -> None:
         self.pattern_counts[self._pattern(i)] -= 1
-        self.event_i_count -= self._slot_event_i(i)
-        self.event_ii_count -= self._slot_event_ii(i)
+        kind = classify(self._prev[i], self._value[i], self.n)
+        self.event_i_count -= kind is STAGNATED_EVENT_I
+        self.event_ii_count -= kind is STAGNATED_EVENT_II
         bucket = self._buckets[self._fit[i]]
         pos = self._bucket_pos[i]
         last = bucket.pop()
@@ -222,7 +199,7 @@ class Population:
         self._prev[i] = prev
         self._value[i] = value
         self._ones[i] = ones
-        self._fit[i] = ones - self.n * prev
+        self._fit[i] = fitness(prev, ones, self.n)
         self._register(i)
         if self.min_fitness not in self._buckets:
             m = self.min_fitness
@@ -232,15 +209,9 @@ class Population:
 
     # -- views ---------------------------------------------------------------
 
-    def pairs(self) -> Iterator[TimePair]:
-        for b, v, o in zip(self._prev, self._value, self._ones):
-            yield TimePair(b, BitString(self.n, v, o))
-
-    def slot(self, i: int) -> TimePair:
-        return TimePair(self._prev[i], BitString(self.n, self._value[i], self._ones[i]))
-
-    def min_fitness_slots(self) -> list[int]:
-        return list(self._buckets[self.min_fitness])
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
+        """The slots as raw ``(b, value, ones)`` states, in slot order."""
+        return zip(self._prev, self._value, self._ones)
 
     def validate(self) -> None:
         """Debug oracle: full rescan must agree with the incremental census."""
@@ -248,10 +219,11 @@ class Population:
         ei = eii = 0
         for i in range(self.mu):
             assert self._ones[i] == self._value[i].bit_count()
-            assert self._fit[i] == self._ones[i] - self.n * self._prev[i]
+            assert self._fit[i] == fitness(self._prev[i], self._ones[i], self.n)
             counts[self._pattern(i)] += 1
-            ei += self._slot_event_i(i)
-            eii += self._slot_event_ii(i)
+            kind = classify(self._prev[i], self._value[i], self.n)
+            ei += kind is STAGNATED_EVENT_I
+            eii += kind is STAGNATED_EVENT_II
         assert counts == self.pattern_counts
         assert ei == self.event_i_count and eii == self.event_ii_count
         assert self.min_fitness == min(self._fit)
@@ -271,10 +243,10 @@ def alg2_step(pop: Population, rng: RandomStream) -> Population:
     i = rng.next_index(pop.mu)
     off_value, off_ones = mutate_value_bitwise(pop._value[i], pop._ones[i], n, rng)
     parent_first = pop._value[i] & 1
-    off_fit = off_ones - n * parent_first
-    if parent_first == 0 and off_ones == n:
-        pop.optimum_generated = True
-    if off_fit >= pop.min_fitness:
+    off_fit = fitness(parent_first, off_ones, n)
+    if off_fit >= pop.min_fitness:  # always true for the optimum, the fitness maximum
+        if classify(parent_first, off_value, n) is OPTIMUM_FOUND:
+            pop.optimum_generated = True
         bucket = pop._buckets[pop.min_fitness]
         k = len(bucket) + (1 if off_fit == pop.min_fitness else 0)
         r = rng.next_index(k) if k > 1 else 0
@@ -301,26 +273,32 @@ def run_alg2(
         rng = RandomStream(0)
     if budget is None:
         budget = default_budget_alg2(n, mu)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
 
     pop = Population.random(n, mu, rng)
     if pop.optimum_generated:
-        return TrialOutcome(OutcomeKind.OPTIMUM_FOUND, 0)
+        return TrialOutcome(OPTIMUM_FOUND, 0)
     for g in range(1, budget + 1):
         if early_exit:
             if event_I_prime(pop):
-                return TrialOutcome(OutcomeKind.STAGNATED_EVENT_I, g)
+                return TrialOutcome(STAGNATED_EVENT_I, g)
             if event_II_prime(pop):
-                return TrialOutcome(OutcomeKind.STAGNATED_EVENT_II, g)
+                return TrialOutcome(STAGNATED_EVENT_II, g)
         alg2_step(pop, rng)
         if pop.optimum_generated:
-            return TrialOutcome(OutcomeKind.OPTIMUM_FOUND, g)
+            return TrialOutcome(OPTIMUM_FOUND, g)
     return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
 
 
 @dataclass(slots=True)
 class OnlineRecord:
+    """The accepted state ``(b, value, ones)`` at ``time_step`` and its online objective."""
+
     time_step: int
-    pair: TimePair
+    b: int
+    value: int
+    ones: int
     objective: float
 
 
@@ -345,41 +323,23 @@ def run_online(
     if rng is None:
         rng = RandomStream(0)
 
-    x0 = rng.random_bits(n)
+    b = rng.random_bits(n) & 1
     value = rng.random_bits(n)
     ones = value.bit_count()
-    prev_first = x0 & 1
-    fit = ones - n * prev_first
     residual = 0.0
     t = 1
     records: list[OnlineRecord] = []
     while t < time_horizon:
-        accepted = False
         for _ in range(budget_per_step):
-            off_value, off_ones = _offspring(value, ones, n, mutation_kind, rng)
-            cur_first = value & 1
-            off_fit = off_ones - n * cur_first
-            if off_fit >= fit:
-                accepted = True
+            step = alg1_step(b, value, ones, n, mutation_kind, rng)
+            if step is not None:
                 break
-        if not accepted:
+        else:
             break
-        residual = (residual + prev_first) / math.e
-        prev_first, value, ones, fit = cur_first, off_value, off_ones, off_fit
+        residual = (residual + b) / math.e
+        b, value, ones = step
         t += 1
-        pair = TimePair(prev_first, BitString(n, value, ones))
-        records.append(OnlineRecord(t, pair, residual + fit))
-        if fit == n:
+        records.append(OnlineRecord(t, b, value, ones, residual + fitness(b, ones, n)))
+        if classify(b, value, n) is OPTIMUM_FOUND:
             break
     return records
-
-
-def stagnation_event(pair: TimePair) -> OutcomeKind | None:
-    """Which single-individual stagnation event, if any, a pair is in."""
-    if event_I(pair):
-        return OutcomeKind.STAGNATED_EVENT_I
-    if event_II(pair):
-        return OutcomeKind.STAGNATED_EVENT_II
-    if is_optimum(pair):
-        return OutcomeKind.OPTIMUM_FOUND
-    return None

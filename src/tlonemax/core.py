@@ -1,83 +1,18 @@
-"""Bit-vector representation, seeded random streams, and mutation operators.
+"""Seeded random streams and the two mutation operators.
 
-Bit strings are stored as plain Python integers (bit i of the integer is
-position i+1 of the string) with a cached ones-count, so fitness evaluation
-and mutation deltas are O(1) word operations.
+Bit strings are plain Python integers (bit i of the integer is position i+1
+of the string) carried with their ones-count, so fitness evaluation and
+mutation deltas are O(1) word operations.  Each mutation operator takes and
+returns the raw ``(value, ones)`` pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 _BLOCK = 4096
-
-
-class BitString:
-    """Fixed-length binary vector.
-
-    The length is fixed at construction; every element is exactly 0 or 1.
-    Position 1 of the string is bit 0 of ``value``.
-    """
-
-    __slots__ = ("n", "value", "ones")
-
-    def __init__(self, n: int, value: int = 0, ones: int | None = None):
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        if value < 0 or value >> n:
-            raise ValueError(f"value {value} does not fit in {n} bits")
-        self.n = n
-        self.value = value
-        self.ones = value.bit_count() if ones is None else ones
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        bits = list(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        value = 0
-        for i, b in enumerate(bits):
-            value |= b << i
-        return cls(len(bits), value)
-
-    @property
-    def bits(self) -> list[int]:
-        return [(self.value >> i) & 1 for i in range(self.n)]
-
-    @property
-    def first_bit(self) -> int:
-        return self.value & 1
-
-    def all_ones(self) -> bool:
-        return self.ones == self.n
-
-    def flipped(self, mask: int) -> "BitString":
-        """Fresh string with the bits selected by ``mask`` flipped."""
-        new = self.value ^ mask
-        return BitString(self.n, new, self.ones + (new.bit_count() - self.value.bit_count()))
-
-    def flipped_bit(self, pos: int) -> "BitString":
-        bit = 1 << pos
-        delta = -1 if self.value & bit else 1
-        return BitString(self.n, self.value ^ bit, self.ones + delta)
-
-    def hamming(self, other: "BitString") -> int:
-        return (self.value ^ other.value).bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitString)
-            and self.n == other.n
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
-
-    def __repr__(self) -> str:
-        return f"BitString('{''.join(str(b) for b in self.bits)}')"
 
 
 class RandomStream:
@@ -137,30 +72,19 @@ class RandomStream:
         return self.generator.choice(n, size=m, replace=False)
 
 
-def uniform_random_bitstring(n: int, rng: RandomStream) -> BitString:
-    """Each bit independently 0 or 1 with probability 1/2."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return BitString(n, rng.random_bits(n))
-
-
 def mutate_value_one_bit(value: int, ones: int, n: int, rng: RandomStream) -> tuple[int, int]:
-    """One-bit mutation on the raw (value, ones) representation."""
+    """Flip one uniformly chosen bit; the result always has Hamming distance 1."""
     bit = 1 << rng.next_index(n)
     return value ^ bit, ones + (-1 if value & bit else 1)
 
 
-def mutate_value_bitwise(
-    value: int, ones: int, n: int, rng: RandomStream, rate: float | None = None
-) -> tuple[int, int]:
-    """Bitwise mutation on the raw (value, ones) representation.
+def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tuple[int, int]:
+    """Independently flip each bit with probability 1/n; may return ``value`` unchanged.
 
-    The flip count is Binomial(n, rate) with the flipped positions a uniform
+    The flip count is Binomial(n, 1/n) with the flipped positions a uniform
     subset of that size, which is distribution-identical to per-bit flips.
     """
-    if rate is None:
-        rate = 1.0 / n
-    m = rng.next_flip_count(n, rate)
+    m = rng.next_flip_count(n, 1.0 / n)
     if m == 0:
         return value, ones
     mask = 0
@@ -168,18 +92,3 @@ def mutate_value_bitwise(
         mask |= 1 << int(pos)
     new = value ^ mask
     return new, ones + (new.bit_count() - value.bit_count())
-
-
-def one_bit_mutation(x: BitString, rng: RandomStream) -> BitString:
-    """Flip one uniformly chosen bit; the result always has Hamming distance 1."""
-    value, ones = mutate_value_one_bit(x.value, x.ones, x.n, rng)
-    return BitString(x.n, value, ones)
-
-
-def bitwise_mutation(x: BitString, rng: RandomStream, rate: float | None = None) -> BitString:
-    """Independently flip each bit with probability ``rate`` (default 1/n).
-
-    May return a copy equal to ``x``.
-    """
-    value, ones = mutate_value_bitwise(x.value, x.ones, x.n, rng, rate)
-    return BitString(x.n, value, ones)

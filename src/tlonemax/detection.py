@@ -1,9 +1,10 @@
-"""First-bit pattern classification and stagnation-event detectors.
+"""Population stagnation detectors and the population census.
 
-Two absorbing stagnation events exist for the single-individual algorithms:
-the stored/current first-bit pattern (0,1) with the remaining positions not
-all ones, and the stored-1 / current-all-ones state.  The population
-algorithm stagnates only when one of these holds for every slot.
+Two absorbing stagnation events exist for the single-individual algorithms
+(see :func:`tlonemax.fitness.classify`): the stored/current first-bit
+pattern (0,1) with the remaining positions not all ones, and the stored-1 /
+current-all-ones state.  The population algorithm stagnates only when one
+of these holds for every slot.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .fitness import TimePair, onemax01
+from .fitness import fitness
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms import Population
@@ -19,31 +20,13 @@ if TYPE_CHECKING:  # pragma: no cover
 FirstBitPattern = tuple[int, int]
 
 
-def classify(pair: TimePair) -> FirstBitPattern:
-    """(previous first bit, current first bit)."""
-    return (pair.prev_first_bit, pair.current.first_bit)
-
-
-def event_I(pair: TimePair) -> bool:
-    """Pattern (0,1) with positions 2..n of the current string not all ones."""
-    cur = pair.current
-    if pair.prev_first_bit != 0 or cur.first_bit != 1:
-        return False
-    return cur.value >> 1 != (1 << (cur.n - 1)) - 1
-
-
-def event_II(pair: TimePair) -> bool:
-    """Stored first bit 1 with the current string all ones."""
-    return pair.prev_first_bit == 1 and pair.current.all_ones()
-
-
 def event_I_prime(pop: "Population") -> bool:
-    """Every slot satisfies event_I; answered in O(1) from the census."""
+    """Every slot is in event I; answered in O(1) from the census."""
     return pop.event_i_count == pop.mu
 
 
 def event_II_prime(pop: "Population") -> bool:
-    """Every slot satisfies event_II; answered in O(1) from the census."""
+    """Every slot is in event II; answered in O(1) from the census."""
     return pop.event_ii_count == pop.mu
 
 
@@ -76,23 +59,19 @@ def population_census(pop: "Population") -> CensusReport:
     """
     counts: dict[FirstBitPattern, int] = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = pop.n
+    slots = [((b, value & 1), fitness(b, ones, n)) for b, value, ones in pop.pairs()]
     best_00 = None
-    for pair in pop.pairs():
-        pat = classify(pair)
+    for pat, fit in slots:
         counts[pat] += 1
-        if pat == (0, 0):
-            fit = onemax01(pair)
-            if best_00 is None or fit > best_00:
-                best_00 = fit
+        if pat == (0, 0) and (best_00 is None or fit > best_00):
+            best_00 = fit
     if best_00 is None:
         return CensusReport(pattern_counts=counts, front_defined=False)
 
     a = n - best_00  # (0,0)-pattern fitness is the ones-count
     m_hist: dict[int, int] = {}
     undefeated = front = 0
-    for pair in pop.pairs():
-        pat = classify(pair)
-        fit = onemax01(pair)
+    for pat, fit in slots:
         if pat == (0, 0):
             d = (n - fit) - a
             m_hist[d] = m_hist.get(d, 0) + 1

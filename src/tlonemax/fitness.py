@@ -1,116 +1,61 @@
-"""Time-linkage objective functions.
+"""The time-linkage objective and its absorbing states, on the raw state.
 
-The shipped objective scores the current bit string by its ones-count and
-penalizes a stored previous first-bit value of 1 by the full dimension size,
-so the unique maximum n is the all-ones string with stored previous first
-bit 0.  An online variant adds an exponentially discounted residual over the
-older history.
+Every algorithm works on one state, held as three integers: the stored
+previous first bit ``b``, the current string ``value`` (bit i of the integer
+is position i+1 of the string) and its ones-count ``ones``.  The objective
+scores it by ``ones - n*b``, so the unique maximum n is the all-ones string
+with stored first bit 0.  This module is the only one that knows that
+formula and the predicates of the optimum and the two stagnation events.
+An online variant adds an exponentially discounted residual over the older
+history.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
-from .core import BitString
+
+class OutcomeKind(str, Enum):
+    OPTIMUM_FOUND = "optimum"
+    STAGNATED_EVENT_I = "event_i"
+    STAGNATED_EVENT_II = "event_ii"
+    BUDGET_EXHAUSTED = "budget"
 
 
-@dataclass(slots=True)
-class TimePair:
-    """Stored previous first-bit value plus the current solution.
-
-    This is the full fitness-relevant state of the single-individual
-    algorithms and of one population slot.
-    """
-
-    prev_first_bit: int
-    current: BitString
-
-    def __post_init__(self):
-        if self.prev_first_bit not in (0, 1):
-            raise ValueError(f"prev_first_bit must be 0 or 1, got {self.prev_first_bit}")
+# Reading an Enum member off its class costs about 0.1 us on Python 3.11;
+# the per-generation code compares against these module-level aliases.
+OPTIMUM_FOUND = OutcomeKind.OPTIMUM_FOUND
+STAGNATED_EVENT_I = OutcomeKind.STAGNATED_EVENT_I
+STAGNATED_EVENT_II = OutcomeKind.STAGNATED_EVENT_II
 
 
-def onemax01(pair: TimePair) -> int:
+def fitness(b: int, ones: int, n: int) -> int:
     """Ones-count of the current string minus n times the stored first bit.
 
     Exact integer in [-n, n]; selection compares these values, so no floats.
+    Also applies elementwise to integer numpy arrays.
     """
-    return pair.current.ones - pair.current.n * pair.prev_first_bit
+    return ones - n * b
 
 
-def is_optimum(pair: TimePair) -> bool:
-    """True iff the stored first bit is 0 and the current string is all ones."""
-    return pair.prev_first_bit == 0 and pair.current.all_ones()
+def classify(b: int, value: int, n: int) -> OutcomeKind | None:
+    """Which absorbing state ``(b, value)`` is in, if any.
 
-
-class TimeLinkageFunction(ABC):
-    """Objective over a window of ``window`` stored solutions plus the current one."""
-
-    def __init__(self, window: int, dimension: int):
-        if window < 0:
-            raise ValueError("window must be non-negative")
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.window = window
-        self.dimension = dimension
-
-    @abstractmethod
-    def evaluate(self, solutions: Sequence[BitString]) -> float:
-        """Evaluate on exactly window+1 consecutive solutions, oldest first."""
-
-    def _check(self, solutions: Sequence[BitString]) -> None:
-        if len(solutions) != self.window + 1:
-            raise ValueError(
-                f"expected {self.window + 1} solutions, got {len(solutions)}"
-            )
-        if any(s.n != self.dimension for s in solutions):
-            raise ValueError("all solutions must have the configured dimension")
-
-
-class OneMaxTimeLinkage(TimeLinkageFunction):
-    """The shipped window-1 instance: -n * x1(previous) + ones(current)."""
-
-    def __init__(self, dimension: int):
-        super().__init__(window=1, dimension=dimension)
-
-    def evaluate(self, solutions: Sequence[BitString]) -> float:
-        self._check(solutions)
-        prev, cur = solutions
-        return cur.ones - self.dimension * prev.first_bit
-
-
-@dataclass
-class OnlineHistory:
-    """Accepted solutions indexed by time step 0..t, all of equal dimension."""
-
-    solutions: list[BitString] = field(default_factory=list)
-
-    @property
-    def t(self) -> int:
-        return len(self.solutions) - 1
-
-    def __post_init__(self):
-        if self.solutions and len({s.n for s in self.solutions}) != 1:
-            raise ValueError("all solutions must have equal dimension")
+    - ``OPTIMUM_FOUND``: stored bit 0 and the all-ones string;
+    - ``STAGNATED_EVENT_I`` (event I): stored bit 0, current first bit 1, and
+      positions 2..n not all ones;
+    - ``STAGNATED_EVENT_II`` (event II): stored bit 1 and the all-ones string;
+    - ``None`` for every other state.
+    """
+    if value == (1 << n) - 1:
+        return STAGNATED_EVENT_II if b else OPTIMUM_FOUND
+    if b == 0 and value & 1:
+        return STAGNATED_EVENT_I
+    return None
 
 
 def discount_residual(first_bits: Sequence[int], t: int) -> float:
     """sum_{tau=2..t} e^(-t+tau-1) * x1^(tau-2); always in [0, 1/(e-1)]."""
     return sum(math.exp(-t + tau - 1) * first_bits[tau - 2] for tau in range(2, t + 1))
-
-
-def online_objective(history: OnlineHistory) -> float:
-    """Discounted residual over older steps plus the two-step objective at time t.
-
-    Requires t >= 2 (the two given initial solutions plus one decision).
-    """
-    t = history.t
-    if t < 2:
-        raise ValueError(f"online objective requires t >= 2, got t={t}")
-    sols = history.solutions
-    residual = discount_residual([s.first_bit for s in sols], t)
-    last_pair = TimePair(sols[t - 1].first_bit, sols[t])
-    return residual + onemax01(last_pair)

@@ -62,14 +62,22 @@ class ExperimentConfig:
             raise ConfigError(f"n_values: all n must be >= 2, got {self.n_values}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.budget_mult <= 0:
-            raise ConfigError(f"budget_mult: must be > 0, got {self.budget_mult}")
+        if not 0 < self.budget_mult < math.inf:
+            raise ConfigError(f"budget_mult: must be finite and > 0, got {self.budget_mult}")
         if self.delta <= 0:
             raise ConfigError(f"delta: must be > 0, got {self.delta}")
         if self.mu_values is not None and len(self.mu_values) != len(self.n_values):
             raise ConfigError("mu_values: must match n_values in length")
         if self.mu_values is not None and any(m < 1 for m in self.mu_values):
             raise ConfigError(f"mu_values: all mu must be >= 1, got {self.mu_values}")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers: must be >= 1 (or None for all cores), got {self.workers}")
+        for n, budget in zip(self.n_values, self.budgets()):
+            if budget < 1:
+                raise ConfigError(
+                    f"budget_mult: {self.budget_mult} gives a budget of {budget} "
+                    f"generations at n={n}; it must be >= 1"
+                )
 
     def resolved_mu(self) -> list[int]:
         if self.algorithm != "muea":
@@ -78,10 +86,12 @@ class ExperimentConfig:
             return list(self.mu_values)
         return [min_population(n, self.delta) for n in self.n_values]
 
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls(**json.load(fh))
+    def budgets(self) -> list[int]:
+        """Generation budget per grid point: the default budget times budget_mult."""
+        if self.algorithm == "muea":
+            return [int(default_budget_alg2(n, mu) * self.budget_mult)
+                    for n, mu in zip(self.n_values, self.resolved_mu())]
+        return [int(default_budget_alg1(n) * self.budget_mult) for n in self.n_values]
 
 
 @dataclass
@@ -177,13 +187,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     report = ExperimentReport(config=config)
     workers = config.workers or os.cpu_count() or 1
-    mus = config.resolved_mu()
+    points = zip(config.n_values, config.resolved_mu(), config.budgets())
 
-    for point_index, (n, mu) in enumerate(zip(config.n_values, mus)):
-        if config.algorithm == "muea":
-            budget = int(default_budget_alg2(n, mu) * config.budget_mult)
-        else:
-            budget = int(default_budget_alg1(n) * config.budget_mult)
+    for point_index, (n, mu, budget) in enumerate(points):
         chunk = max(1, math.ceil(config.trials / (4 * workers)))
         tasks = [
             _TrialTask(

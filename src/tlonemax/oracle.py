@@ -19,6 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .algorithms import MutationKind
+from .fitness import OutcomeKind, classify, fitness
 
 _E = math.e
 
@@ -266,6 +267,13 @@ def min_population(n: int, delta: float) -> int:
 
 TRANSIENT, OPT, EVENT_I, EVENT_II = 0, 1, 2, 3
 
+_LABEL = {
+    None: TRANSIENT,
+    OutcomeKind.OPTIMUM_FOUND: OPT,
+    OutcomeKind.STAGNATED_EVENT_I: EVENT_I,
+    OutcomeKind.STAGNATED_EVENT_II: EVENT_II,
+}
+
 
 @dataclass
 class AbsorptionResult:
@@ -333,7 +341,6 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     size = 1 << n
     nstates = 2 * size
     ones = _popcounts(size)
-    full = size - 1
 
     # offspring kernel M[x, y]
     xs = np.arange(size)
@@ -344,14 +351,9 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     else:
         M = np.where(ham == 1, 1.0 / n, 0.0)
 
-    labels = np.zeros(nstates, dtype=np.int64)
-    for b in (0, 1):
-        for x in range(size):
-            s = b * size + x
-            if x == full:
-                labels[s] = OPT if b == 0 else EVENT_II
-            elif b == 0 and x & 1:
-                labels[s] = EVENT_I
+    labels = np.array(
+        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in range(size)], dtype=np.int64
+    )
 
     P = np.zeros((nstates, nstates))
     x1 = xs & 1
@@ -361,8 +363,8 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
             if labels[s] != TRANSIENT:
                 P[s, s] = 1.0
                 continue
-            fit = ones[x] - n * b
-            accept = ones - n * x1[x] >= fit  # over offspring y
+            fit = fitness(b, ones[x], n)
+            accept = fitness(x1[x], ones, n) >= fit  # over offspring y
             row = M[x]
             tbase = x1[x] * size
             np.add.at(P[s], tbase + xs[accept], row[accept])
@@ -390,18 +392,19 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
 
     Positions 2..n are exchangeable under both the fitness and the mutation
     operators, so only their ones-count k matters; transition masses are
-    exact binomial sums.
+    exact binomial sums.  Each state is labelled by classifying a
+    representative string: first bit x1, then k ones, then zeros.
     """
     if not 2 <= n <= 1000:
         raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
     nstates = 4 * n
     ks = np.arange(n)
 
-    labels = np.zeros(nstates, dtype=np.int64)
-    labels[lump_index(n, 0, 1, n - 1)] = OPT
-    for k in range(n - 1):
-        labels[lump_index(n, 0, 1, k)] = EVENT_I
-    labels[lump_index(n, 1, 1, n - 1)] = EVENT_II
+    labels = np.array(
+        [_LABEL[classify(b, x1 | ((1 << k) - 1) << 1, n)]
+         for b in (0, 1) for x1 in (0, 1) for k in range(n)],
+        dtype=np.int64,
+    )
 
     # offspring ones-count distribution over positions 2..n, per current k
     if mutation_kind is MutationKind.BITWISE:
@@ -421,12 +424,12 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
                 if labels[s] != TRANSIENT:
                     P[s, s] = 1.0
                     continue
-                fit = x1 + k - n * b
+                fit = fitness(b, x1 + k, n)
                 if mutation_kind is MutationKind.BITWISE:
                     for y1 in (0, 1):
                         py1 = first_flip if y1 != x1 else 1.0 - first_flip
                         mass = py1 * kdist[k]
-                        accept = y1 + ks - n * x1 >= fit
+                        accept = fitness(x1, y1 + ks, n) >= fit
                         tgt = lump_index(n, x1, y1, 0) + ks
                         np.add.at(P[s], tgt[accept], mass[accept])
                         P[s, s] += mass[~accept].sum()
@@ -437,7 +440,7 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
                     if k < n - 1:
                         moves.append((x1, k + 1, (n - 1 - k) / n))
                     for y1, k2, prob in moves:
-                        if y1 + k2 - n * x1 >= fit:
+                        if fitness(x1, y1 + k2, n) >= fit:
                             P[s, lump_index(n, x1, y1, k2)] += prob
                         else:
                             P[s, s] += prob

@@ -7,27 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlonemax import (
-    Alg1State,
-    BitString,
     MutationKind,
     OutcomeKind,
     Population,
     RandomStream,
-    TimePair,
     alg1_step,
     alg2_step,
-    initial_alg1_state,
-    is_optimum,
-    onemax01,
+    classify,
     run_alg1,
     run_alg2,
     run_online,
 )
-from tlonemax.algorithms import (
-    default_budget_alg1,
-    default_budget_alg2,
-    stagnation_event,
-)
+from tlonemax.algorithms import default_budget_alg1, default_budget_alg2
+from tlonemax.fitness import fitness
 
 
 class TestAlg1Step:
@@ -35,49 +27,54 @@ class TestAlg1Step:
     @given(st.integers(2, 24), st.integers(0, 2**31), st.sampled_from(list(MutationKind)))
     def test_fitness_never_decreases(self, n, seed, kind):
         rng = RandomStream(seed)
-        state = initial_alg1_state(n, kind, rng)
-        fit = onemax01(state.pair)
+        b = rng.random_bits(n) & 1
+        value = rng.random_bits(n)
+        ones = value.bit_count()
         for _ in range(60):
-            state = alg1_step(state, rng)
-            new_fit = onemax01(state.pair)
-            assert new_fit >= fit
-            fit = new_fit
-
-    def test_generation_increments(self):
-        rng = RandomStream(0)
-        state = initial_alg1_state(5, MutationKind.ONE_BIT, rng)
-        assert state.generation == 1
-        assert alg1_step(state, rng).generation == 2
+            step = alg1_step(b, value, ones, n, kind, rng)
+            if step is not None:
+                assert fitness(step[0], step[2], n) >= fitness(b, ones, n)
+                assert step[0] == value & 1  # the old current first bit is stored
+                b, value, ones = step
 
     def test_tie_accepts_offspring(self):
         # from (0, 011) an offspring with equal fitness (two flips trading a
         # one for a zero) must be accepted: the current string changes while
         # the ones-count stays put
-        start = Alg1State(TimePair(0, BitString(3, 0b110)), 1, MutationKind.BITWISE)
+        n, start = 3, (0, 0b110, 2)
         rng = RandomStream(11)
         state = start
         seen_tie_move = False
         for _ in range(300):
-            before = state.pair.current.value
-            state = alg1_step(state, rng)
-            cur = state.pair.current
-            if cur.ones == 3:  # improved away; restart the experiment
+            step = alg1_step(*state, n, MutationKind.BITWISE, rng)
+            if step is None:
+                continue
+            if step[2] == 3:  # improved away; restart the experiment
                 state = start
-            elif cur.value != before and cur.ones == 2:
+            elif step[1] != state[1] and step[2] == 2:
                 seen_tie_move = True
                 break
+            else:
+                state = step
         assert seen_tie_move
 
     def test_run_matches_manual_replay(self):
-        # run_alg1 consumes its stream exactly like initial state + steps
+        # run_alg1 consumes its stream exactly like two initial strings + steps
+        n = 6
         for seed in range(10):
-            outcome = run_alg1(6, MutationKind.BITWISE, rng=RandomStream(seed))
+            outcome = run_alg1(n, MutationKind.BITWISE, rng=RandomStream(seed))
             rng = RandomStream(seed)
-            state = initial_alg1_state(6, MutationKind.BITWISE, rng)
-            while stagnation_event(state.pair) is None:
-                state = alg1_step(state, rng)
-            assert stagnation_event(state.pair) == outcome.kind
-            assert state.generation == outcome.generation
+            b = rng.random_bits(n) & 1
+            value = rng.random_bits(n)
+            ones = value.bit_count()
+            generation = 1
+            while classify(b, value, n) is None:
+                step = alg1_step(b, value, ones, n, MutationKind.BITWISE, rng)
+                if step is not None:
+                    b, value, ones = step
+                generation += 1
+            assert classify(b, value, n) == outcome.kind
+            assert generation == outcome.generation
 
 
 class TestRunAlg1:
@@ -149,20 +146,18 @@ class TestPopulation:
             alg2_step(pop, rng)
         assert pop.mu == 5 and sum(1 for _ in pop.pairs()) == 5
 
-    def test_min_fitness_slots_all_minimal(self):
-        rng = RandomStream(10)
-        pop = Population.random(6, 8, rng)
-        fits = [onemax01(pop.slot(i)) for i in range(pop.mu)]
-        assert pop.min_fitness == min(fits)
-        assert all(fits[i] == pop.min_fitness for i in pop.min_fitness_slots())
-
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            Population([])
+            Population(3, [])
+
+    def test_value_out_of_range_rejected(self):
+        for n, slots in ((3, [(0, 8)]), (3, [(0, -1)]), (0, [(0, 0)])):
+            with pytest.raises(ValueError):
+                Population(n, slots)
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
-            Population([TimePair(0, BitString(3, 0)), TimePair(0, BitString(4, 0))])
+            Population(3, [(0, 0b111), (0, 0b1111)])  # a 4-bit string among 3-bit ones
 
 
 class TestRunAlg2:
@@ -190,6 +185,8 @@ class TestRunAlg2:
             run_alg2(1, 4)
         with pytest.raises(ValueError):
             run_alg2(4, 0)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            run_alg2(6, 4, budget=0)
 
     @pytest.mark.xfail(
         strict=False,
@@ -223,15 +220,15 @@ class TestRunOnline:
         records = run_online(10, MutationKind.BITWISE, time_horizon=60,
                              budget_per_step=500, rng=RandomStream(13))
         for record in records:
-            residual = record.objective - onemax01(record.pair)
+            residual = record.objective - fitness(record.b, record.ones, 10)
             assert 0.0 <= residual <= 1.0 / (math.e - 1.0) + 1e-12
 
     def test_stops_at_component_maximum(self):
         records = run_online(6, MutationKind.ONE_BIT, time_horizon=10_000,
                              budget_per_step=2000, rng=RandomStream(7))
         final = records[-1]
-        assert onemax01(final.pair) == 6  # pattern (0, 1...1) reached and run halted
-        assert is_optimum(final.pair)
+        assert fitness(final.b, final.ones, 6) == 6  # pattern (0, 1...1) reached and run halted
+        assert classify(final.b, final.value, 6) is OutcomeKind.OPTIMUM_FOUND
 
     def test_stops_when_no_acceptance_is_possible(self):
         # the stagnation pattern (0, 1, not-all-ones) rejects every one-bit
@@ -240,7 +237,7 @@ class TestRunOnline:
                              budget_per_step=2000, rng=RandomStream(0))
         final = records[-1]
         assert final.time_step < 10_000
-        assert not is_optimum(final.pair)
+        assert classify(final.b, final.value, 6) is not OutcomeKind.OPTIMUM_FOUND
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,20 @@ class TestRunCommand:
         assert main(["run", "--alg", "rls", "--n", "1", "--trials", "5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_workers_exits_one(self, capsys):
+        for workers in ("0", "-2"):
+            assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",
+                         "--workers", workers]) == 1
+            assert "error: workers:" in capsys.readouterr().err
+
+    def test_budget_below_one_exits_one(self, capsys):
+        for alg in ("oea", "muea"):
+            assert main(["run", "--alg", alg, "--n", "6", "--trials", "10",
+                         "--workers", "1", "--budget-mult", "1e-9"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: budget_mult:" in captured.err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TLONEMAX_OUT", str(tmp_path))
         assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",

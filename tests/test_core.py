@@ -1,78 +1,10 @@
-"""Bit-vector representation, random streams, and mutation operators."""
+"""Random streams and the raw mutation operators."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlonemax import (
-    BitString,
-    RandomStream,
-    bitwise_mutation,
-    one_bit_mutation,
-    uniform_random_bitstring,
-)
-
-
-class TestBitString:
-    def test_construction_counts_ones(self):
-        s = BitString(5, 0b10110)
-        assert s.n == 5
-        assert s.ones == 3
-
-    def test_value_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            BitString(3, 8)
-        with pytest.raises(ValueError):
-            BitString(3, -1)
-        with pytest.raises(ValueError):
-            BitString(0)
-
-    def test_from_bits_roundtrip(self):
-        bits = [1, 0, 1, 1, 0, 0, 1]
-        assert BitString.from_bits(bits).bits == bits
-
-    def test_from_bits_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitString.from_bits([0, 2, 1])
-
-    def test_first_bit_is_position_one(self):
-        assert BitString.from_bits([1, 0, 0]).first_bit == 1
-        assert BitString.from_bits([0, 1, 1]).first_bit == 0
-
-    def test_all_ones(self):
-        assert BitString(4, 0b1111).all_ones()
-        assert not BitString(4, 0b0111).all_ones()
-
-    def test_flipped_bit_toggles_and_updates_ones(self):
-        s = BitString(4, 0b0101)
-        t = s.flipped_bit(1)
-        assert t.value == 0b0111 and t.ones == 3
-        assert s.flipped_bit(0).ones == 1
-
-    def test_hamming(self):
-        a = BitString(6, 0b101010)
-        b = BitString(6, 0b010101)
-        assert a.hamming(b) == 6
-        assert a.hamming(a) == 0
-
-    def test_equality_and_hash(self):
-        assert BitString(4, 5) == BitString(4, 5)
-        assert BitString(4, 5) != BitString(5, 5)
-        assert len({BitString(4, 5), BitString(4, 5)}) == 1
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    def test_ones_matches_popcount(self, bits):
-        s = BitString.from_bits(bits)
-        assert s.ones == sum(bits)
-
-    @given(st.integers(1, 64), st.data())
-    def test_flip_mask_is_involution(self, n, data):
-        value = data.draw(st.integers(0, (1 << n) - 1))
-        mask = data.draw(st.integers(0, (1 << n) - 1))
-        s = BitString(n, value)
-        assert s.flipped(mask).flipped(mask) == s
-        assert s.flipped(mask).ones == bin(value ^ mask).count("1")
+from tlonemax import RandomStream, mutate_value_bitwise, mutate_value_one_bit
 
 
 class TestRandomStream:
@@ -108,27 +40,31 @@ class TestRandomStream:
 
 class TestMutation:
     def test_one_bit_mutation_hamming_one(self):
+        n = 16
         rng = RandomStream(2)
-        x = uniform_random_bitstring(16, rng)
+        value = rng.random_bits(n)
+        ones = value.bit_count()
         for _ in range(500):
-            y = one_bit_mutation(x, rng)
-            assert x.hamming(y) == 1
-            x = y
+            new, new_ones = mutate_value_one_bit(value, ones, n, rng)
+            assert (value ^ new).bit_count() == 1
+            assert new_ones == new.bit_count()
+            value, ones = new, new_ones
 
     def test_bitwise_mutation_preserves_length(self):
+        n = 12
         rng = RandomStream(3)
-        x = uniform_random_bitstring(12, rng)
+        value = rng.random_bits(n)
+        ones = value.bit_count()
         for _ in range(500):
-            y = bitwise_mutation(x, rng)
-            assert y.n == 12 and 0 <= y.value < (1 << 12)
-            assert y.ones == bin(y.value).count("1")
+            value, ones = mutate_value_bitwise(value, ones, n, rng)
+            assert 0 <= value < (1 << n)
+            assert ones == value.bit_count()
 
     def test_bitwise_flip_count_distribution(self):
         # mean flips is n * (1/n) = 1; P(no flip) = (1-1/n)^n
         n, trials = 20, 20000
         rng = RandomStream(4)
-        x = BitString(n, 0)
-        flips = [x.hamming(bitwise_mutation(x, rng)) for _ in range(trials)]
+        flips = [mutate_value_bitwise(0, 0, n, rng)[1] for _ in range(trials)]
         mean = sum(flips) / trials
         assert abs(mean - 1.0) < 4.0 * np.sqrt(1.0 / trials)  # variance ~ 1
         p0 = sum(f == 0 for f in flips) / trials
@@ -138,19 +74,14 @@ class TestMutation:
     def test_uniform_init_balance(self):
         n, trials = 32, 4000
         rng = RandomStream(6)
-        mean_ones = sum(uniform_random_bitstring(n, rng).ones for _ in range(trials)) / trials
+        mean_ones = sum(rng.random_bits(n).bit_count() for _ in range(trials)) / trials
         assert abs(mean_ones - n / 2) < 4.0 * np.sqrt(n / 4 / trials)
-
-    def test_custom_rate(self):
-        rng = RandomStream(7)
-        x = BitString(8, 0)
-        assert all(bitwise_mutation(x, rng, rate=0.0) == x for _ in range(10))
-        assert all(bitwise_mutation(x, rng, rate=1.0).ones == 8 for _ in range(10))
 
     @settings(max_examples=25)
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     def test_mutation_determinism(self, n, seed):
-        x = uniform_random_bitstring(n, RandomStream(seed))
-        y1 = bitwise_mutation(x, RandomStream(seed, 1))
-        y2 = bitwise_mutation(x, RandomStream(seed, 1))
+        value = RandomStream(seed).random_bits(n)
+        ones = value.bit_count()
+        y1 = mutate_value_bitwise(value, ones, n, RandomStream(seed, 1))
+        y2 = mutate_value_bitwise(value, ones, n, RandomStream(seed, 1))
         assert y1 == y2

@@ -1,4 +1,4 @@
-"""The two-step objective, its optimum, and the online discounted variant."""
+"""The two-step objective, its absorbing states, and the online discounted residual."""
 
 import math
 
@@ -6,74 +6,42 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlonemax import (
-    BitString,
-    OneMaxTimeLinkage,
-    OnlineHistory,
-    TimePair,
-    is_optimum,
-    onemax01,
-    online_objective,
-)
-from tlonemax.fitness import discount_residual
+from tlonemax import MutationKind, OutcomeKind, Population, RandomStream, classify, run_online
+from tlonemax.fitness import discount_residual, fitness
 
 
-def _pair(prev, bits):
-    return TimePair(prev, BitString.from_bits(bits))
+def _v(bits):
+    return sum(bit << i for i, bit in enumerate(bits))
 
 
 class TestObjective:
     def test_maximum_value(self):
-        assert onemax01(_pair(0, [1, 1, 1, 1])) == 4
+        assert fitness(0, 4, 4) == 4
 
     def test_penalty_cancels_all_ones(self):
-        assert onemax01(_pair(1, [1, 1, 1, 1])) == 0
+        assert fitness(1, 4, 4) == 0
 
     def test_minimum_value(self):
-        assert onemax01(_pair(1, [0, 0, 0, 0])) == -4
-
-    def test_prev_bit_validated(self):
-        with pytest.raises(ValueError):
-            TimePair(2, BitString(3, 0))
+        assert fitness(1, 0, 4) == -4
 
     @given(st.integers(0, 1), st.lists(st.integers(0, 1), min_size=1, max_size=40))
     def test_range_and_formula(self, prev, bits):
-        pair = _pair(prev, bits)
         n = len(bits)
-        value = onemax01(pair)
+        value = fitness(prev, _v(bits).bit_count(), n)
         assert -n <= value <= n
         assert value == sum(bits) - n * prev
 
+    def test_prev_bit_validated(self):
+        with pytest.raises(ValueError):
+            Population(3, [(2, 0)])
+
     def test_optimum_is_unique_pattern(self):
-        assert is_optimum(_pair(0, [1, 1, 1]))
-        assert not is_optimum(_pair(1, [1, 1, 1]))
-        assert not is_optimum(_pair(0, [1, 1, 0]))
-
-    def test_function_object_matches_direct_formula(self):
-        fn = OneMaxTimeLinkage(4)
-        prev = BitString.from_bits([1, 0, 0, 0])
-        cur = BitString.from_bits([1, 1, 0, 1])
-        assert fn.evaluate([prev, cur]) == onemax01(TimePair(prev.first_bit, cur))
-        assert fn.window == 1 and fn.dimension == 4
-
-    def test_function_object_validates_inputs(self):
-        fn = OneMaxTimeLinkage(4)
-        with pytest.raises(ValueError):
-            fn.evaluate([BitString(4, 0)])
-        with pytest.raises(ValueError):
-            fn.evaluate([BitString(3, 0), BitString(3, 0)])
+        assert classify(0, _v([1, 1, 1]), 3) is OutcomeKind.OPTIMUM_FOUND
+        assert classify(1, _v([1, 1, 1]), 3) is not OutcomeKind.OPTIMUM_FOUND
+        assert classify(0, _v([1, 1, 0]), 3) is not OutcomeKind.OPTIMUM_FOUND
 
 
 class TestOnlineObjective:
-    def test_requires_three_solutions(self):
-        history = OnlineHistory([BitString(4, 1), BitString(4, 2)])
-        with pytest.raises(ValueError):
-            online_objective(history)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            OnlineHistory([BitString(4, 1), BitString(5, 2)])
-
     def test_residual_empty_below_t2(self):
         assert discount_residual([1, 1, 1], 1) == 0.0
 
@@ -97,9 +65,17 @@ class TestOnlineObjective:
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
     def test_objective_is_residual_plus_final_pair(self):
-        sols = [BitString.from_bits(b) for b in ([1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1])]
-        history = OnlineHistory(sols)
-        expected = discount_residual([s.first_bit for s in sols], 3) + onemax01(
-            TimePair(sols[2].first_bit, sols[3])
-        )
-        assert online_objective(history) == pytest.approx(expected)
+        # the incremental residual equals the direct sum over the first bits
+        # of x^0 (replayed from the same stream) and of every accepted string
+        n = 10
+        for seed, kind in ((15, MutationKind.BITWISE), (21, MutationKind.ONE_BIT)):
+            records = run_online(n, kind, time_horizon=60, budget_per_step=500,
+                                 rng=RandomStream(seed))
+            assert len(records) >= 5 and any(r.b for r in records)  # residual not all zero
+            first_bits = [RandomStream(seed).random_bits(n) & 1]
+            for record in records:
+                first_bits.append(record.b)  # the stored bit is x_1 of step t-1
+                assert record.ones == record.value.bit_count()
+                expected = (discount_residual(first_bits, record.time_step)
+                            + fitness(record.b, record.ones, n))
+                assert record.objective == pytest.approx(expected, rel=0, abs=1e-12)

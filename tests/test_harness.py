@@ -82,8 +82,9 @@ class TestConfigValidation:
     def test_bad_trials_budget_delta(self):
         with pytest.raises(ConfigError, match="trials"):
             _small_config(trials=0).validate()
-        with pytest.raises(ConfigError, match="budget_mult"):
-            _small_config(budget_mult=0.0).validate()
+        for budget_mult in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="budget_mult"):
+                _small_config(budget_mult=budget_mult).validate()
         with pytest.raises(ConfigError, match="delta"):
             _small_config(delta=-1.0).validate()
 
@@ -100,11 +101,25 @@ class TestConfigValidation:
         assert config.resolved_mu() == [5]
         assert _small_config(algorithm="rls").resolved_mu() == [1]
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"algorithm": "oea", "n_values": [4, 6], "trials": 7}))
-        config = ExperimentConfig.from_json(str(path))
-        assert config.algorithm == "oea" and config.n_values == [4, 6] and config.trials == 7
+    def test_bad_workers(self):
+        for workers in (0, -2):
+            with pytest.raises(ConfigError, match="workers"):
+                _small_config(workers=workers).validate()
+        _small_config(workers=None).validate()  # None means one per core
+
+    def test_budget_below_one_rejected(self):
+        # default budgets: 100 n^2 = 3600 at n=6 for alg1, 100 mu n = 800 at n=8, mu=1
+        with pytest.raises(ConfigError, match="budget_mult"):
+            _small_config(algorithm="oea", n_values=[6], budget_mult=1e-9).validate()
+        with pytest.raises(ConfigError, match="budget_mult"):
+            _small_config(algorithm="muea", n_values=[8], mu_values=[1],
+                          budget_mult=1e-3).validate()
+        _small_config(algorithm="oea", n_values=[6], budget_mult=3e-4).validate()  # budget 1
+
+    def test_budgets_scale_the_defaults(self):
+        assert _small_config(n_values=[5, 10], budget_mult=0.5).budgets() == [1250, 5000]
+        config = _small_config(algorithm="muea", n_values=[4, 6], mu_values=[3, 7])
+        assert config.budgets() == [1200, 4200]
 
 
 class TestRunExperiment:
