@@ -206,10 +206,11 @@ class TestAbsorption:
             assert np.max(np.abs(result.residual)) < 1e-10
 
     def test_absorbing_states_are_certain(self):
-        result = markov_full_absorption(4, MutationKind.BITWISE)
-        assert np.all(result.p_optimum[result.labels == OPT] == 1.0)
-        assert np.all(result.p_event_i[result.labels == EVENT_I] == 1.0)
-        assert np.all(result.p_event_ii[result.labels == EVENT_II] == 1.0)
+        for solver in (markov_full_absorption, markov_lumped_absorption):
+            result = solver(4, MutationKind.BITWISE)
+            assert np.all(result.p_optimum[result.labels == OPT] == 1.0)
+            assert np.all(result.p_event_i[result.labels == EVENT_I] == 1.0)
+            assert np.all(result.p_event_ii[result.labels == EVENT_II] == 1.0)
 
     def test_frozen_uniform_start_values(self):
         uniform = markov_full_absorption(4, MutationKind.BITWISE).from_uniform()
@@ -222,6 +223,17 @@ class TestAbsorption:
         bitwise = markov_full_absorption(6, MutationKind.BITWISE).failure_probability()
         assert one_bit == pytest.approx(0.840494791666666, abs=1e-12)
         assert bitwise == pytest.approx(0.912696444232041, abs=1e-12)
+
+    def test_frozen_lumped_uniform_start_values_n50(self):
+        # beyond the full chain's reach, so no other test pins these
+        frozen = {
+            MutationKind.ONE_BIT: (0.0198000000000004, 0.7302, 0.2500000000000004),
+            MutationKind.BITWISE: (0.003559577587366, 0.835484290711192, 0.160956131701435),
+        }
+        for kind, values in frozen.items():
+            uniform = markov_lumped_absorption(50, kind).from_uniform()
+            for key, value in zip(("p_optimum", "p_event_i", "p_event_ii"), values):
+                assert uniform[key] == pytest.approx(value, abs=1e-12)
 
     def test_start_weights_are_a_distribution(self):
         for solver in (markov_full_absorption, markov_lumped_absorption):
@@ -238,9 +250,12 @@ class TestAbsorption:
                     assert lumped[key] == pytest.approx(full[key], abs=1e-10)
 
     def test_lumped_scales_to_large_n(self):
-        result = markov_lumped_absorption(400, MutationKind.BITWISE)
-        assert np.max(np.abs(result.residual)) < 1e-8
-        assert result.failure_probability() > 0.99
+        frozen = {MutationKind.BITWISE: 0.999716312141414, MutationKind.ONE_BIT: 0.997503124999972}
+        for kind, failure in frozen.items():
+            result = markov_lumped_absorption(400, kind)
+            assert np.max(np.abs(result.residual)) < 1e-8
+            assert result.failure_probability() > 0.99
+            assert result.failure_probability() == pytest.approx(failure, abs=1e-12)
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
