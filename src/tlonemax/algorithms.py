@@ -21,6 +21,7 @@ from .fitness import (
     STAGNATED_EVENT_I,
     STAGNATED_EVENT_II,
     OutcomeKind,
+    accepts,
     classify,
     fitness,
 )
@@ -60,17 +61,16 @@ def alg1_step(
 ) -> tuple[int, int, int] | None:
     """One mutation/selection step from the state ``(b, value, ones)``.
 
-    The candidate pairs the current first bit with the offspring; it replaces
-    the incumbent when its fitness is at least the incumbent's, so ties accept
-    and the fitness never decreases.  Returns the accepted ``(b, value, ones)``
-    or None when the offspring is rejected.
+    The candidate pairs the current first bit with the offspring and is
+    taken under ``accepts``.  Returns the accepted ``(b, value, ones)`` or
+    None when the offspring is rejected.
     """
     if kind is _ONE_BIT:
         off_value, off_ones = mutate_value_one_bit(value, ones, n, rng)
     else:
         off_value, off_ones = mutate_value_bitwise(value, ones, n, rng)
     first = value & 1
-    if fitness(first, off_ones, n) >= fitness(b, ones, n):
+    if accepts(b, ones, first, off_ones, n):
         return first, off_value, off_ones
     return None
 
@@ -117,14 +117,14 @@ def run_alg1(
 class Population:
     """Ordered multiset of mu ``(b, value)`` slots with an incremental census.
 
-    Pattern counts, the per-slot stagnation flags, and a fitness-bucket index
+    The counts of slots in each stagnation event and a fitness-bucket index
     are maintained on every replacement, so the minimum fitness, the
     stagnation checks, and uniform removal among the lowest-fitness pairs are
     all O(1) per generation.  ``validate()`` re-derives everything by a full
     scan and asserts agreement.
     """
 
-    def __init__(self, n: int, slots: Sequence[tuple[int, int]], generation: int = 1):
+    def __init__(self, n: int, slots: Sequence[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         if not slots:
@@ -136,15 +136,11 @@ class Population:
                 raise ValueError(f"value {value} does not fit in {n} bits")
         self.n = n
         self.mu = len(slots)
-        self.generation = generation
         self._prev = [b for b, _ in slots]
         self._value = [value for _, value in slots]
         self._ones = [value.bit_count() for value in self._value]
         self._fit = [fitness(b, o, n) for b, o in zip(self._prev, self._ones)]
 
-        self.pattern_counts: dict[tuple[int, int], int] = {
-            (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0
-        }
         self.event_i_count = 0
         self.event_ii_count = 0
         self._buckets: dict[int, list[int]] = {}
@@ -168,11 +164,7 @@ class Population:
 
     # -- census bookkeeping -------------------------------------------------
 
-    def _pattern(self, i: int) -> tuple[int, int]:
-        return (self._prev[i], self._value[i] & 1)
-
     def _register(self, i: int) -> None:
-        self.pattern_counts[self._pattern(i)] += 1
         kind = classify(self._prev[i], self._value[i], self.n)
         self.event_i_count += kind is STAGNATED_EVENT_I
         self.event_ii_count += kind is STAGNATED_EVENT_II
@@ -181,7 +173,6 @@ class Population:
         bucket.append(i)
 
     def _unregister(self, i: int) -> None:
-        self.pattern_counts[self._pattern(i)] -= 1
         kind = classify(self._prev[i], self._value[i], self.n)
         self.event_i_count -= kind is STAGNATED_EVENT_I
         self.event_ii_count -= kind is STAGNATED_EVENT_II
@@ -215,16 +206,13 @@ class Population:
 
     def validate(self) -> None:
         """Debug oracle: full rescan must agree with the incremental census."""
-        counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
         ei = eii = 0
         for i in range(self.mu):
             assert self._ones[i] == self._value[i].bit_count()
             assert self._fit[i] == fitness(self._prev[i], self._ones[i], self.n)
-            counts[self._pattern(i)] += 1
             kind = classify(self._prev[i], self._value[i], self.n)
             ei += kind is STAGNATED_EVENT_I
             eii += kind is STAGNATED_EVENT_II
-        assert counts == self.pattern_counts
         assert ei == self.event_i_count and eii == self.event_ii_count
         assert self.min_fitness == min(self._fit)
         for fit, bucket in self._buckets.items():
@@ -253,7 +241,6 @@ def alg2_step(pop: Population, rng: RandomStream) -> Population:
         if r < len(bucket):
             pop.replace_slot(bucket[r], parent_first, off_value, off_ones)
         # otherwise the offspring itself was the removed lowest pair
-    pop.generation += 1
     return pop
 
 

@@ -40,6 +40,17 @@ def fitness(b: int, ones: int, n: int) -> int:
     return ones - n * b
 
 
+def accepts(b, ones, first, off_ones, n):
+    """Whether the candidate (first, off_ones) replaces the incumbent (b, ones).
+
+    The candidate pairs the incumbent's current first bit with the offspring;
+    it is taken when its fitness is at least the incumbent's, so ties accept
+    and the fitness never decreases.  Applies to ints and, elementwise with
+    broadcasting, to integer numpy arrays.
+    """
+    return off_ones - n * first >= ones - n * b
+
+
 def classify(b: int, value: int, n: int) -> OutcomeKind | None:
     """Which absorbing state ``(b, value)`` is in, if any.
 

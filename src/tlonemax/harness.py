@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -41,6 +42,32 @@ class ConfigError(ValueError):
     """Invalid experiment configuration, with a field-level message."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+# the type each config field must have, and how a message names it
+_FIELD_TYPES = {
+    "algorithm": (lambda v: isinstance(v, str), "a string"),
+    "n_values": (_is_int_list, "a list of integers"),
+    "mu_values": (lambda v: v is None or _is_int_list(v), "a list of integers or null"),
+    "delta": (_is_real, "a real number"),
+    "trials": (_is_int, "an integer"),
+    "budget_mult": (_is_real, "a real number"),
+    "master_seed": (_is_int, "an integer"),
+    "early_exit": (lambda v: isinstance(v, bool), "true or false"),
+    "workers": (lambda v: v is None or _is_int(v), "an integer or null"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     algorithm: str
@@ -54,6 +81,10 @@ class ExperimentConfig:
     workers: int | None = None  # None: one per available core
 
     def validate(self) -> None:
+        for name, (has_type, type_name) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not has_type(value):
+                raise ConfigError(f"{name}: must be {type_name}, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.n_values:

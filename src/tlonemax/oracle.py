@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .algorithms import MutationKind
-from .fitness import OutcomeKind, classify, fitness
+from .fitness import OutcomeKind, accepts, classify
 
 _E = math.e
 
@@ -309,29 +309,50 @@ class AbsorptionResult:
         return u["p_event_i"] + u["p_event_ii"]
 
 
-def _solve_absorption(P: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Absorption probabilities into each labelled class by dense linear solve."""
-    size = len(labels)
-    trans = labels == TRANSIENT
-    idx_t = np.flatnonzero(trans)
-    Q = P[np.ix_(idx_t, idx_t)]
-    A = np.eye(len(idx_t)) - Q
-    probs = []
-    for cls in (OPT, EVENT_I, EVENT_II):
-        p = np.zeros(size)
-        p[labels == cls] = 1.0
-        if len(idx_t):
-            r = P[np.ix_(idx_t, np.flatnonzero(labels == cls))].sum(axis=1)
-            p[idx_t] = np.linalg.solve(A, r)
-        probs.append(p)
-    return tuple(probs)
+def _selection_chain(
+    n: int, kind: MutationKind, first: np.ndarray, ones: np.ndarray, reps: list[int],
+    M: np.ndarray, class_weights: np.ndarray,
+) -> AbsorptionResult:
+    """Absorption probabilities of the selection chain over C string classes.
 
+    A state is a stored first bit b and a class c, at index b*C + c.  Class c
+    has first bit ``first[c]``, ones-count ``ones[c]`` and a representative
+    string ``reps[c]`` that ``classify`` labels; ``M[c]`` is the law of the
+    offspring class of a class-c string, and ``class_weights`` the law of the
+    class of a uniform random string.  From a transient state (b, c) the
+    offspring class c' moves the chain to (first[c], c') when ``accepts``
+    takes it; otherwise the state stays.  All three absorption classes come
+    from one solve with a 3-column right-hand side.
+    """
+    C = len(reps)
+    labels = np.array(
+        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int64
+    )
+    P = np.zeros((2 * C, 2 * C))
+    cs = np.arange(C)
+    for b in (0, 1):
+        accept = accepts(b, ones[:, None], first[:, None], ones, n)
+        rows = P[b * C:(b + 1) * C]
+        rows.reshape(C, 2, C)[cs, first] = np.where(accept, M, 0.0)
+        rows[cs, b * C + cs] += np.where(accept, 0.0, M).sum(axis=1)
 
-def _popcounts(size: int) -> np.ndarray:
-    counts = np.zeros(size, dtype=np.int64)
-    for i in range(1, size):
-        counts[i] = counts[i >> 1] + (i & 1)
-    return counts
+    # an absorbing state keeps its own class with probability 1, so only the
+    # transient rows of P enter the solve
+    trans = np.flatnonzero(labels == TRANSIENT)
+    absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
+    A = -P[np.ix_(trans, trans)]
+    A[np.diag_indices_from(A)] += 1.0
+    absorbed[trans] = np.linalg.solve(A, (P @ absorbed)[trans])
+    p_opt, p_i, p_ii = absorbed.T
+    return AbsorptionResult(
+        n=n,
+        mutation_kind=kind,
+        labels=labels,
+        p_optimum=p_opt,
+        p_event_i=p_i,
+        p_event_ii=p_ii,
+        start_weights=np.tile(class_weights, 2) / 2,
+    )
 
 
 def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
@@ -339,74 +360,33 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     if not 2 <= n <= 10:
         raise ValueError(f"full chain limited to 2 <= n <= 10, got {n}")
     size = 1 << n
-    nstates = 2 * size
-    ones = _popcounts(size)
-
-    # offspring kernel M[x, y]
     xs = np.arange(size)
-    ham = _popcounts(size)[np.bitwise_xor.outer(xs, xs)]
+    ones = np.array([x.bit_count() for x in range(size)])
+    ham = ones[np.bitwise_xor.outer(xs, xs)]
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
         M = p**ham * (1 - p) ** (n - ham)
     else:
         M = np.where(ham == 1, 1.0 / n, 0.0)
-
-    labels = np.array(
-        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in range(size)], dtype=np.int64
+    return _selection_chain(
+        n, mutation_kind, xs & 1, ones, list(range(size)), M, np.full(size, 1.0 / size)
     )
-
-    P = np.zeros((nstates, nstates))
-    x1 = xs & 1
-    for b in (0, 1):
-        for x in range(size):
-            s = b * size + x
-            if labels[s] != TRANSIENT:
-                P[s, s] = 1.0
-                continue
-            fit = fitness(b, ones[x], n)
-            accept = fitness(x1[x], ones, n) >= fit  # over offspring y
-            row = M[x]
-            tbase = x1[x] * size
-            np.add.at(P[s], tbase + xs[accept], row[accept])
-            P[s, s] += row[~accept].sum()
-
-    p_opt, p_i, p_ii = _solve_absorption(P, labels)
-    return AbsorptionResult(
-        n=n,
-        mutation_kind=mutation_kind,
-        labels=labels,
-        p_optimum=p_opt,
-        p_event_i=p_i,
-        p_event_ii=p_ii,
-        start_weights=np.full(nstates, 1.0 / nstates),
-    )
-
-
-def lump_index(n: int, b: int, x1: int, k: int) -> int:
-    """State index of the lumped chain: (stored bit, current first bit, ones in 2..n)."""
-    return ((b << 1) | x1) * n + k
 
 
 def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
     """Symmetry-lumped chain over 4n states.
 
     Positions 2..n are exchangeable under both the fitness and the mutation
-    operators, so only their ones-count k matters; transition masses are
-    exact binomial sums.  Each state is labelled by classifying a
-    representative string: first bit x1, then k ones, then zeros.
+    operators, so a string's class is its first bit x1 and the ones-count k
+    of positions 2..n, at index x1*n + k; transition masses are exact
+    binomial sums.  Each class is represented by the string with first bit
+    x1, then k ones, then zeros.
     """
     if not 2 <= n <= 1000:
         raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
-    nstates = 4 * n
     ks = np.arange(n)
-
-    labels = np.array(
-        [_LABEL[classify(b, x1 | ((1 << k) - 1) << 1, n)]
-         for b in (0, 1) for x1 in (0, 1) for k in range(n)],
-        dtype=np.int64,
-    )
-
-    # offspring ones-count distribution over positions 2..n, per current k
+    # law of the offspring's ones-count over positions 2..n, per current k,
+    # jointly with its first bit kept (`stay`) or flipped (`flip`)
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
         kdist = np.zeros((n, n))
@@ -414,48 +394,16 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
             down = stats.binom.pmf(np.arange(k + 1), k, p)  # flips among ones
             up = stats.binom.pmf(np.arange(n - k), n - 1 - k, p)  # flips among zeros
             kdist[k] = np.convolve(down[::-1], up)  # pmf of k - i + j
-        first_flip = p
-
-    P = np.zeros((nstates, nstates))
-    for b in (0, 1):
-        for x1 in (0, 1):
-            for k in range(n):
-                s = lump_index(n, b, x1, k)
-                if labels[s] != TRANSIENT:
-                    P[s, s] = 1.0
-                    continue
-                fit = fitness(b, x1 + k, n)
-                if mutation_kind is MutationKind.BITWISE:
-                    for y1 in (0, 1):
-                        py1 = first_flip if y1 != x1 else 1.0 - first_flip
-                        mass = py1 * kdist[k]
-                        accept = fitness(x1, y1 + ks, n) >= fit
-                        tgt = lump_index(n, x1, y1, 0) + ks
-                        np.add.at(P[s], tgt[accept], mass[accept])
-                        P[s, s] += mass[~accept].sum()
-                else:
-                    moves = [(1 - x1, k, 1.0 / n)]
-                    if k:
-                        moves.append((x1, k - 1, k / n))
-                    if k < n - 1:
-                        moves.append((x1, k + 1, (n - 1 - k) / n))
-                    for y1, k2, prob in moves:
-                        if fitness(x1, y1 + k2, n) >= fit:
-                            P[s, lump_index(n, x1, y1, k2)] += prob
-                        else:
-                            P[s, s] += prob
+        stay, flip = (1.0 - p) * kdist, p * kdist
+    else:
+        stay = np.diag(ks[1:] / n, -1) + np.diag((n - 1 - ks[:-1]) / n, 1)
+        flip = np.eye(n) / n
+    M = np.block([[stay, flip], [flip, stay]])
 
     # uniform initialization projects to binomial weights over k
     kw = np.array([comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
-    weights = np.tile(kw, 4) / 4.0
-
-    p_opt, p_i, p_ii = _solve_absorption(P, labels)
-    return AbsorptionResult(
-        n=n,
-        mutation_kind=mutation_kind,
-        labels=labels,
-        p_optimum=p_opt,
-        p_event_i=p_i,
-        p_event_ii=p_ii,
-        start_weights=weights,
+    reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
+    return _selection_chain(
+        n, mutation_kind, np.repeat([0, 1], n), np.concatenate([ks, ks + 1]), reps, M,
+        np.tile(kw, 2) / 2,
     )

@@ -36,6 +36,15 @@ class TestRunCommand:
         assert main(["run", "--alg", "rls", "--n", "1", "--trials", "5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_file_field_type_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"algorithm": "rls", "n_values": [4],
+                                      "trials": "5", "workers": 1}))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: trials: " in captured.err
+
     def test_bad_workers_exits_one(self, capsys):
         for workers in ("0", "-2"):
             assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",

@@ -88,6 +88,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delta"):
             _small_config(delta=-1.0).validate()
 
+    def test_field_types(self):
+        bad = {
+            "algorithm": [5, None],
+            "n_values": [6, (6,), [6.5], ["6"], [True], None],
+            "mu_values": [4, [4.0]],
+            "delta": ["0.1", True, None],
+            "trials": ["5", 5.0, True, None],
+            "budget_mult": ["1", False],
+            "master_seed": ["0", 1.5, False, None],
+            "early_exit": [1, "yes", None],
+            "workers": ["2", 2.0, True],
+        }
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ConfigError, match=f"^{name}: must be "):
+                    _small_config(**{name: value}).validate()
+        assert set(bad) == set(ExperimentConfig.__dataclass_fields__)
+
     def test_mu_values_must_align(self):
         with pytest.raises(ConfigError, match="mu_values"):
             _small_config(algorithm="muea", mu_values=[3, 4]).validate()

@@ -199,7 +199,57 @@ class TestTheoremBounds:
             min_population(10, 0.0)
 
 
+def _per_state_loop_chain(n, kind):
+    """Absorption probabilities of the full chain, written as one loop per state.
+
+    An independent reference for the vectorised builder: each state
+    (b, x) scores every offspring y with the objective written out, and the
+    absorbing states come from the event definitions.
+    """
+    size = 1 << n
+    p = 1.0 / n
+    opt, ev_i, ev_ii = [], [], []
+    for b in (0, 1):
+        for x in range(size):
+            opt.append(b == 0 and x == size - 1)
+            ev_i.append(b == 0 and x & 1 == 1 and x != size - 1)
+            ev_ii.append(b == 1 and x == size - 1)
+    absorbing = np.array(opt) | np.array(ev_i) | np.array(ev_ii)
+    P = np.eye(2 * size)
+    for b in (0, 1):
+        for x in range(size):
+            s = b * size + x
+            if absorbing[s]:
+                continue
+            for y in range(size):
+                flips = (x ^ y).bit_count()
+                if kind is MutationKind.BITWISE:
+                    prob = p**flips * (1 - p) ** (n - flips)
+                else:
+                    prob = p if flips == 1 else 0.0
+                if y.bit_count() - n * (x & 1) >= x.bit_count() - n * b:
+                    P[s, s] -= prob
+                    P[s, (x & 1) * size + y] += prob
+    trans = ~absorbing
+    A = np.eye(trans.sum()) - P[np.ix_(trans, trans)]
+    result = []
+    for target in (opt, ev_i, ev_ii):
+        target = np.array(target, dtype=float)
+        target[trans] = np.linalg.solve(A, P[trans] @ target)
+        result.append(target)
+    return result
+
+
 class TestAbsorption:
+    def test_matches_per_state_loop(self):
+        for n in (2, 3, 5):
+            for kind in MutationKind:
+                result = markov_full_absorption(n, kind)
+                p_opt, p_i, p_ii = _per_state_loop_chain(n, kind)
+                assert np.max(np.abs(result.p_optimum - p_opt)) < 1e-12
+                assert np.max(np.abs(result.p_event_i - p_i)) < 1e-12
+                assert np.max(np.abs(result.p_event_ii - p_ii)) < 1e-12
+
     def test_probabilities_sum_to_one(self):
         for kind in MutationKind:
             result = markov_full_absorption(5, kind)
