@@ -97,7 +97,13 @@ def criterion_2(workers: int | None = None) -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """Lumped chain reproduces the full chain for every small n."""
+    """Lumped chain reproduces the full chain for every small n.
+
+    Both chains go through the one builder ``oracle._selection_chain``, so
+    this validates the lumping (the string classes and the offspring kernel),
+    not the builder: criterion 2's Monte Carlo and the per-state loop in
+    ``test_oracle.py`` (``test_matches_per_state_loop``) check that.
+    """
     worst = 0.0
     for n in range(2, 11):
         for kind in MutationKind:

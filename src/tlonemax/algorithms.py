@@ -117,11 +117,11 @@ def run_alg1(
 class Population:
     """Ordered multiset of mu ``(b, value)`` slots with an incremental census.
 
-    The counts of slots in each stagnation event and a fitness-bucket index
-    are maintained on every replacement, so the minimum fitness, the
-    stagnation checks, and uniform removal among the lowest-fitness pairs are
-    all O(1) per generation.  ``validate()`` re-derives everything by a full
-    scan and asserts agreement.
+    The counts of slots in each stagnation event and the slots of each
+    fitness value (its bucket) are maintained on every replacement, so the
+    minimum fitness, the stagnation checks, and uniform removal among the
+    lowest-fitness pairs are all O(1) per generation.  ``validate()``
+    re-derives everything by a full scan and asserts agreement.
     """
 
     def __init__(self, n: int, slots: Sequence[tuple[int, int]]):
@@ -139,12 +139,10 @@ class Population:
         self._prev = [b for b, _ in slots]
         self._value = [value for _, value in slots]
         self._ones = [value.bit_count() for value in self._value]
-        self._fit = [fitness(b, o, n) for b, o in zip(self._prev, self._ones)]
 
         self.event_i_count = 0
         self.event_ii_count = 0
         self._buckets: dict[int, list[int]] = {}
-        self._bucket_pos = [0] * self.mu
         for i in range(self.mu):
             self._register(i)
         self.min_fitness = min(self._buckets)
@@ -168,31 +166,25 @@ class Population:
         kind = classify(self._prev[i], self._value[i], self.n)
         self.event_i_count += kind is STAGNATED_EVENT_I
         self.event_ii_count += kind is STAGNATED_EVENT_II
-        bucket = self._buckets.setdefault(self._fit[i], [])
-        self._bucket_pos[i] = len(bucket)
-        bucket.append(i)
+        fit = fitness(self._prev[i], self._ones[i], self.n)
+        self._buckets.setdefault(fit, []).append(i)
 
-    def _unregister(self, i: int) -> None:
+    def replace_lowest(self, r: int, prev: int, value: int, ones: int) -> None:
+        """Overwrite the slot at position r of the lowest-fitness bucket."""
+        bucket = self._buckets[self.min_fitness]
+        i = bucket[r]
+        last = bucket.pop()  # swap-remove: the last slot of the bucket takes position r
+        if r < len(bucket):
+            bucket[r] = last
         kind = classify(self._prev[i], self._value[i], self.n)
         self.event_i_count -= kind is STAGNATED_EVENT_I
         self.event_ii_count -= kind is STAGNATED_EVENT_II
-        bucket = self._buckets[self._fit[i]]
-        pos = self._bucket_pos[i]
-        last = bucket.pop()
-        if last != i:
-            bucket[pos] = last
-            self._bucket_pos[last] = pos
-        if not bucket:
-            del self._buckets[self._fit[i]]
-
-    def replace_slot(self, i: int, prev: int, value: int, ones: int) -> None:
-        self._unregister(i)
         self._prev[i] = prev
         self._value[i] = value
         self._ones[i] = ones
-        self._fit[i] = fitness(prev, ones, self.n)
         self._register(i)
-        if self.min_fitness not in self._buckets:
+        if not bucket:
+            del self._buckets[self.min_fitness]
             m = self.min_fitness
             while m not in self._buckets:
                 m += 1
@@ -209,16 +201,17 @@ class Population:
         ei = eii = 0
         for i in range(self.mu):
             assert self._ones[i] == self._value[i].bit_count()
-            assert self._fit[i] == fitness(self._prev[i], self._ones[i], self.n)
             kind = classify(self._prev[i], self._value[i], self.n)
             ei += kind is STAGNATED_EVENT_I
             eii += kind is STAGNATED_EVENT_II
         assert ei == self.event_i_count and eii == self.event_ii_count
-        assert self.min_fitness == min(self._fit)
+        # every slot sits exactly once, in the bucket of its fitness
+        assert sorted(i for bucket in self._buckets.values() for i in bucket) == list(range(self.mu))
         for fit, bucket in self._buckets.items():
-            for pos, i in enumerate(bucket):
-                assert self._fit[i] == fit and self._bucket_pos[i] == pos
-        assert sum(len(b) for b in self._buckets.values()) == self.mu
+            assert bucket
+            for i in bucket:
+                assert fitness(self._prev[i], self._ones[i], self.n) == fit
+        assert self.min_fitness == min(self._buckets)
 
 
 def alg2_step(pop: Population, rng: RandomStream) -> Population:
@@ -235,11 +228,11 @@ def alg2_step(pop: Population, rng: RandomStream) -> Population:
     if off_fit >= pop.min_fitness:  # always true for the optimum, the fitness maximum
         if classify(parent_first, off_value, n) is OPTIMUM_FOUND:
             pop.optimum_generated = True
-        bucket = pop._buckets[pop.min_fitness]
-        k = len(bucket) + (1 if off_fit == pop.min_fitness else 0)
+        low = len(pop._buckets[pop.min_fitness])
+        k = low + (1 if off_fit == pop.min_fitness else 0)
         r = rng.next_index(k) if k > 1 else 0
-        if r < len(bucket):
-            pop.replace_slot(bucket[r], parent_first, off_value, off_ones)
+        if r < low:
+            pop.replace_lowest(r, parent_first, off_value, off_ones)
         # otherwise the offspring itself was the removed lowest pair
     return pop
 

@@ -73,7 +73,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
         with open(args.config) as fh:
-            fields.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(
+                f"config: must be a JSON object, got {type(loaded).__name__} in {args.config}")
+        fields.update(loaded)
     overrides = {
         "algorithm": args.alg,
         "n_values": args.n,

@@ -1,12 +1,14 @@
 """Experiment configuration, parallel Monte Carlo execution, and result files.
 
 Every trial draws from its own stream derived from (master seed, point
-index, trial index), and results are aggregated in trial order after the
-workers join, so the report bytes never depend on the worker count.
+index, trial index), and its outcome is mapped back in trial order, so the
+report bytes never depend on the worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import numbers
@@ -20,7 +22,6 @@ from scipy import stats as _stats
 from .algorithms import (
     MutationKind,
     OutcomeKind,
-    TrialOutcome,
     default_budget_alg1,
     default_budget_alg2,
     run_alg1,
@@ -184,33 +185,21 @@ def _trial_stream(master_seed: int, point_index: int, trial: int) -> RandomStrea
     return RandomStream(master_seed, (point_index << 32) | trial)
 
 
-@dataclass(slots=True)
-class _TrialTask:
-    algorithm: str
-    n: int
-    mu: int
-    budget: int
-    master_seed: int
-    point_index: int
-    early_exit: bool
-    start: int
-    count: int
-
-
-def _run_chunk(task: _TrialTask) -> list[tuple[int, str, int]]:
-    out = []
-    for trial in range(task.start, task.start + task.count):
-        rng = _trial_stream(task.master_seed, task.point_index, trial)
-        try:
-            if task.algorithm == "muea":
-                result = run_alg2(task.n, task.mu, task.budget, rng, task.early_exit)
-            else:
-                kind = MutationKind.ONE_BIT if task.algorithm == "rls" else MutationKind.BITWISE
-                result = run_alg1(task.n, kind, task.budget, rng, task.early_exit)
-            out.append((trial, result.kind.value, result.generation))
-        except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
-            out.append((trial, f"failed:{exc}", -1))
-    return out
+def _run_trial(
+    algorithm: str, n: int, mu: int, budget: int, master_seed: int, point_index: int,
+    early_exit: bool, trial: int,
+) -> tuple[OutcomeKind, int] | str:
+    """One trial on its own stream: ``(kind, generation)``, or the message if it raised."""
+    rng = _trial_stream(master_seed, point_index, trial)
+    try:
+        if algorithm == "muea":
+            result = run_alg2(n, mu, budget, rng, early_exit)
+        else:
+            kind = MutationKind.ONE_BIT if algorithm == "rls" else MutationKind.BITWISE
+            result = run_alg1(n, kind, budget, rng, early_exit)
+    except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
+        return str(exc)
+    return result.kind, result.generation  # a third of a TrialOutcome's pickle
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -218,47 +207,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     report = ExperimentReport(config=config)
     workers = config.workers or os.cpu_count() or 1
-    points = zip(config.n_values, config.resolved_mu(), config.budgets())
-
-    for point_index, (n, mu, budget) in enumerate(points):
-        chunk = max(1, math.ceil(config.trials / (4 * workers)))
-        tasks = [
-            _TrialTask(
-                algorithm=config.algorithm,
-                n=n,
-                mu=mu,
-                budget=budget,
-                master_seed=config.master_seed,
-                point_index=point_index,
-                early_exit=config.early_exit,
-                start=start,
-                count=min(chunk, config.trials - start),
+    chunk = math.ceil(config.trials / (4 * workers))
+    pool = None
+    if workers > 1 and config.trials > 1:
+        # the fork start method launches all max_workers processes at the first submit
+        pool = ProcessPoolExecutor(max_workers=min(workers, math.ceil(config.trials / chunk)))
+    with pool or contextlib.nullcontext():
+        map_trials = map if pool is None else functools.partial(pool.map, chunksize=chunk)
+        points = zip(config.n_values, config.resolved_mu(), config.budgets())
+        for point_index, (n, mu, budget) in enumerate(points):
+            run_trial = functools.partial(
+                _run_trial, config.algorithm, n, mu, budget, config.master_seed,
+                point_index, config.early_exit,
             )
-            for start in range(0, config.trials, chunk)
-        ]
-        if workers == 1 or len(tasks) == 1:
-            results = [r for task in tasks for r in _run_chunk(task)]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [r for rs in pool.map(_run_chunk, tasks) for r in rs]
-        results.sort(key=lambda r: r[0])  # canonical trial order
-        report.points.append(_aggregate(config, point_index, n, mu, results))
+            outcomes = map_trials(run_trial, range(config.trials))  # in trial order
+            report.points.append(_aggregate(config, n, mu, outcomes))
     return report
 
 
 def _aggregate(
-    config: ExperimentConfig, point_index: int, n: int, mu: int,
-    results: list[tuple[int, str, int]],
+    config: ExperimentConfig, n: int, mu: int,
+    outcomes: Iterable[tuple[OutcomeKind, int] | str],
 ) -> PointResult:
-    counts = {k.value: 0 for k in OutcomeKind}
+    counts = dict.fromkeys(OutcomeKind, 0)
     failed = 0
     opt_gens: list[int] = []
-    for _, kind, generation in results:
-        if kind.startswith("failed:"):
+    for outcome in outcomes:
+        if isinstance(outcome, str):
             failed += 1
             continue
+        kind, generation = outcome
         counts[kind] += 1
-        if kind == OutcomeKind.OPTIMUM_FOUND.value:
+        if kind is OutcomeKind.OPTIMUM_FOUND:
             opt_gens.append(generation)
     if opt_gens:
         mean = sum(opt_gens) / len(opt_gens)
@@ -274,10 +254,10 @@ def _aggregate(
         n=n,
         mu=mu,
         trials=config.trials,
-        opt_count=counts[OutcomeKind.OPTIMUM_FOUND.value],
-        event_i_count=counts[OutcomeKind.STAGNATED_EVENT_I.value],
-        event_ii_count=counts[OutcomeKind.STAGNATED_EVENT_II.value],
-        budget_count=counts[OutcomeKind.BUDGET_EXHAUSTED.value],
+        opt_count=counts[OutcomeKind.OPTIMUM_FOUND],
+        event_i_count=counts[OutcomeKind.STAGNATED_EVENT_I],
+        event_ii_count=counts[OutcomeKind.STAGNATED_EVENT_II],
+        budget_count=counts[OutcomeKind.BUDGET_EXHAUSTED],
         failed_count=failed,
         cond_mean_gens=mean,
         cond_var_gens=var,

@@ -45,6 +45,14 @@ class TestRunCommand:
         assert captured.out == ""
         assert "error: trials: " in captured.err
 
+    def test_config_file_not_an_object_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: config: must be a JSON object" in captured.err
+
     def test_bad_workers_exits_one(self, capsys):
         for workers in ("0", "-2"):
             assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",

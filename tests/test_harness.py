@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -14,6 +15,7 @@ from tlonemax import (
     wilson_interval,
     write_report,
 )
+from tlonemax import harness
 from tlonemax.harness import ConfigError, PointResult, report_csv
 
 
@@ -153,9 +155,42 @@ class TestRunExperiment:
     def test_worker_count_does_not_change_bytes(self):
         csvs = []
         for workers in (1, 3):
-            report = run_experiment(_small_config(workers=workers))
+            report = run_experiment(_small_config(n_values=[5, 7], workers=workers))
             csvs.append(report_csv(report))
         assert csvs[0] == csvs[1]
+
+    def test_pool_capped_at_chunk_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))  # never fork 64
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        report = run_experiment(_small_config(n_values=[5, 7], trials=2, workers=64))
+        assert sizes == [2]  # one pool for both points, one process per one-trial chunk
+        assert [p.trials for p in report.points] == [2, 2]
+
+    def test_trial_that_raises_is_counted_failed(self, monkeypatch, tmp_path):
+        real_run_alg1 = harness.run_alg1
+        calls = []
+
+        def run_alg1(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("injected")
+            return real_run_alg1(*args)
+
+        monkeypatch.setattr(harness, "run_alg1", run_alg1)
+        report = run_experiment(_small_config(trials=10))
+        point = report.points[0]
+        assert point.failed_count == 1 and len(calls) == 10
+        assert (point.opt_count + point.event_i_count + point.event_ii_count
+                + point.budget_count) == 9
+        path = tmp_path / "report.csv"
+        write_report(report, str(path), "csv")
+        assert path.read_text().splitlines()[1].startswith("rls,5,1,10,")
 
     def test_rerun_is_bit_identical(self):
         a = report_csv(run_experiment(_small_config()))
