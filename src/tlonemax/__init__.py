@@ -9,23 +9,17 @@ Carlo harness so each of those claims can be checked at desk scale.
 """
 
 from .core import RandomStream, mutate_value_bitwise, mutate_value_one_bit
-from .fitness import OutcomeKind, classify, discount_residual
-from .detection import (
-    CensusReport,
-    event_I_prime,
-    event_II_prime,
-    population_census,
-)
+from .fitness import OutcomeKind, classify
 from .algorithms import (
+    CensusReport,
     MutationKind,
-    OnlineRecord,
     Population,
     TrialOutcome,
     alg1_step,
     alg2_step,
+    population_census,
     run_alg1,
     run_alg2,
-    run_online,
 )
 from .oracle import (
     AbsorptionResult,
@@ -34,9 +28,6 @@ from .oracle import (
     chernoff_additive,
     chernoff_geometric,
     chernoff_lower,
-    g_fn,
-    h1,
-    h2,
     lemma2_bruteforce,
     lemma2_exact,
     markov_full_absorption,
@@ -52,7 +43,6 @@ from .harness import (
     run_experiment,
     runtime_scaling_check,
     wilson_interval,
-    write_report,
 )
 
 __version__ = "0.1.0"

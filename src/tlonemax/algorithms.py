@@ -9,13 +9,11 @@ secondary tie-break.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
 from .core import RandomStream, mutate_value_bitwise, mutate_value_one_bit
-from .detection import event_I_prime, event_II_prime
 from .fitness import (
     OPTIMUM_FOUND,
     STAGNATED_EVENT_I,
@@ -41,10 +39,6 @@ class TrialOutcome:
 
     kind: OutcomeKind
     generation: int
-
-    @property
-    def failed(self) -> bool:
-        return self.kind in (OutcomeKind.STAGNATED_EVENT_I, OutcomeKind.STAGNATED_EVENT_II)
 
 
 def default_budget_alg1(n: int) -> int:
@@ -214,6 +208,70 @@ class Population:
         assert self.min_fitness == min(self._buckets)
 
 
+FirstBitPattern = tuple[int, int]
+
+
+@dataclass
+class CensusReport:
+    """Pattern counts plus the front structure over (0,0)-pattern slots.
+
+    ``front_defined`` is False when no (0,0)-pattern slot exists; the
+    front-relative fields are then None rather than zero, since the front
+    fitness l is undefined in that case.
+    """
+
+    pattern_counts: dict[FirstBitPattern, int]
+    front_defined: bool
+    best_00_fitness: int | None = None
+    front_zeros: int | None = None
+    m_histogram: dict[int, int] = field(default_factory=dict)
+    undefeated_count: int | None = None
+    front_count: int | None = None
+    interior_count: int | None = None
+
+
+def population_census(pop: Population) -> CensusReport:
+    """Full O(mu) scan: pattern counts, front fitness l, and the m_d histogram.
+
+    m_d counts (0,0)-pattern slots whose zero-count exceeds the front's
+    zero-count a by d.  Slots are also partitioned into temporarily
+    undefeated ((0,1) pattern, fitness > l), current front ((0,0) pattern,
+    fitness = l), and interior (everything else).
+    """
+    counts: dict[FirstBitPattern, int] = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
+    n = pop.n
+    slots = [((b, value & 1), fitness(b, ones, n)) for b, value, ones in pop.pairs()]
+    best_00 = None
+    for pat, fit in slots:
+        counts[pat] += 1
+        if pat == (0, 0) and (best_00 is None or fit > best_00):
+            best_00 = fit
+    if best_00 is None:
+        return CensusReport(pattern_counts=counts, front_defined=False)
+
+    a = n - best_00  # (0,0)-pattern fitness is the ones-count
+    m_hist: dict[int, int] = {}
+    undefeated = front = 0
+    for pat, fit in slots:
+        if pat == (0, 0):
+            d = (n - fit) - a
+            m_hist[d] = m_hist.get(d, 0) + 1
+            if fit == best_00:
+                front += 1
+        elif pat == (0, 1) and fit > best_00:
+            undefeated += 1
+    return CensusReport(
+        pattern_counts=counts,
+        front_defined=True,
+        best_00_fitness=best_00,
+        front_zeros=a,
+        m_histogram=m_hist,
+        undefeated_count=undefeated,
+        front_count=front,
+        interior_count=pop.mu - undefeated - front,
+    )
+
+
 def alg2_step(pop: Population, rng: RandomStream) -> Population:
     """One generation: uniform parent, bitwise offspring, >=-min acceptance,
     then uniform removal among the lowest-fitness pairs of the mu+1.
@@ -244,7 +302,12 @@ def run_alg2(
     rng: RandomStream | None = None,
     early_exit: bool = True,
 ) -> TrialOutcome:
-    """Population run; the optimum fires on the offspring pair at creation."""
+    """Population run; the optimum fires on the offspring pair at creation.
+
+    With ``early_exit`` the run stops at the population analogues of the two
+    stagnation events: every slot in event I (I'), or every slot in event II
+    (II').
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if mu < 1:
@@ -261,65 +324,12 @@ def run_alg2(
         return TrialOutcome(OPTIMUM_FOUND, 0)
     for g in range(1, budget + 1):
         if early_exit:
-            if event_I_prime(pop):
+            if pop.event_i_count == mu:
                 return TrialOutcome(STAGNATED_EVENT_I, g)
-            if event_II_prime(pop):
+            if pop.event_ii_count == mu:
                 return TrialOutcome(STAGNATED_EVENT_II, g)
         alg2_step(pop, rng)
         if pop.optimum_generated:
             return TrialOutcome(OPTIMUM_FOUND, g)
     return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
 
-
-@dataclass(slots=True)
-class OnlineRecord:
-    """The accepted state ``(b, value, ones)`` at ``time_step`` and its online objective."""
-
-    time_step: int
-    b: int
-    value: int
-    ones: int
-    objective: float
-
-
-def run_online(
-    n: int,
-    mutation_kind: MutationKind,
-    time_horizon: int,
-    budget_per_step: int,
-    rng: RandomStream | None = None,
-) -> list[OnlineRecord]:
-    """Online driver: the fitness time step advances only on acceptance.
-
-    Each accepted offspring becomes the decision for the next time step; the
-    discounted residual is carried incrementally.  Stops at the horizon, when
-    the two-step component reaches its maximum n, or when ``budget_per_step``
-    generations pass without an acceptance.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if time_horizon < 1 or budget_per_step < 1:
-        raise ValueError("horizons must be >= 1")
-    if rng is None:
-        rng = RandomStream(0)
-
-    b = rng.random_bits(n) & 1
-    value = rng.random_bits(n)
-    ones = value.bit_count()
-    residual = 0.0
-    t = 1
-    records: list[OnlineRecord] = []
-    while t < time_horizon:
-        for _ in range(budget_per_step):
-            step = alg1_step(b, value, ones, n, mutation_kind, rng)
-            if step is not None:
-                break
-        else:
-            break
-        residual = (residual + b) / math.e
-        b, value, ones = step
-        t += 1
-        records.append(OnlineRecord(t, b, value, ones, residual + fitness(b, ones, n)))
-        if classify(b, value, n) is OPTIMUM_FOUND:
-            break
-    return records

@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one experiment), ``sweep`` (grid plus scaling table),
 ``oracle`` (conditional-probability tables), ``markov`` (absorption tables),
 ``bounds`` (theorem bound tables), ``check`` (the built-in acceptance suite).
-Exit codes: 0 success, 1 configuration error, 2 acceptance-check failure.
+Exit codes: 0 success, 1 configuration error, 2 acceptance-check failure,
+3 a trial raised (``run`` and ``sweep`` still write the report).
 ``TLONEMAX_OUT`` sets the default directory for relative output paths.
 """
 
@@ -20,9 +21,10 @@ from .harness import (
     ALGORITHMS,
     ConfigError,
     ExperimentConfig,
+    report_csv,
+    report_json_obj,
     run_experiment,
     runtime_scaling_check,
-    write_report,
 )
 from .oracle import (
     lemma2_exact,
@@ -99,6 +101,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write ``text`` to the ``--out`` file, or to stdout without one."""
+    out = _resolve_out(args.out)
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
 def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None:
     """Print or write a small table as CSV (fixed columns) or a JSON list."""
     if args.format == "json":
@@ -107,32 +122,39 @@ def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None
         lines = [",".join(header)]
         lines += [",".join(str(row[col]) for col in header) for row in rows]
         text = "\n".join(lines) + "\n"
-    out = _resolve_out(args.out)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
-def _output_report(report, args: argparse.Namespace) -> None:
-    out = _resolve_out(args.out)
-    if out:
-        write_report(report, out, args.format)
-        return
-    from .harness import report_csv, report_json_obj
-
+def _output_report(report, args: argparse.Namespace) -> int:
+    """Print or write the report; when a trial raised, say so on stderr and return 3."""
     if args.format == "json":
-        json.dump(report_json_obj(report), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write(json.dumps(report_json_obj(report), indent=2) + "\n", args)
     else:
-        sys.stdout.write(report_csv(report))
+        _write(report_csv(report), args)
+    if not report.errors:
+        return 0
+    print(f"error: {len(report.errors)} trial(s) raised; first: {report.errors[0]}",
+          file=sys.stderr)
+    return 3
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    _output_report(run_experiment(config), args)
-    return 0
+    return _output_report(run_experiment(_config_from_args(args)), args)
+
+
+def _print_scaling(report) -> None:
+    """The scaling table on stderr, or the reason it is undefined for this run."""
+    try:
+        table = runtime_scaling_check(report)
+    except ValueError as exc:
+        print(f"# scaling: {exc}", file=sys.stderr)
+        return
+    print("# scaling: n,mu,cond_mean_gens,ratio", file=sys.stderr)
+    for row in table.rows:
+        ratio = "nan" if row.ratio is None else f"{row.ratio:.6g}"
+        print(f"# {row.n},{row.mu},{row.cond_mean_gens:.6g},{ratio}", file=sys.stderr)
+    if table.flagged:
+        print("# WARNING: ratio spread exceeds factor 2", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -140,16 +162,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(config.n_values) < 2:
         raise ConfigError("sweep: need at least 2 values of n (use `run` for a single point)")
     report = run_experiment(config)
-    _output_report(report, args)
+    code = _output_report(report, args)
     if config.algorithm == "muea":
-        table = runtime_scaling_check(report)
-        print("# scaling: n,mu,cond_mean_gens,ratio", file=sys.stderr)
-        for row in table.rows:
-            ratio = "nan" if row.ratio is None else f"{row.ratio:.6g}"
-            print(f"# {row.n},{row.mu},{row.cond_mean_gens:.6g},{ratio}", file=sys.stderr)
-        if table.flagged:
-            print("# WARNING: ratio spread exceeds factor 2", file=sys.stderr)
-    return 0
+        _print_scaling(report)
+    return code
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -25,11 +25,9 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
-        self.generator = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
-        )
+        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream) & 0xFFFFFFFFFFFFFFFF],
+                       dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
         # block caches for hot loops: {n: (array, cursor)}
         self._index_blocks: dict[int, tuple[np.ndarray, int]] = {}
         self._flip_blocks: dict[tuple[int, float], tuple[np.ndarray, int]] = {}

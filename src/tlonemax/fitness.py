@@ -6,15 +6,11 @@ is position i+1 of the string) and its ones-count ``ones``.  The objective
 scores it by ``ones - n*b``, so the unique maximum n is the all-ones string
 with stored first bit 0.  This module is the only one that knows that
 formula and the predicates of the optimum and the two stagnation events.
-An online variant adds an exponentially discounted residual over the older
-history.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import Sequence
 
 
 class OutcomeKind(str, Enum):
@@ -66,7 +62,3 @@ def classify(b: int, value: int, n: int) -> OutcomeKind | None:
         return STAGNATED_EVENT_I
     return None
 
-
-def discount_residual(first_bits: Sequence[int], t: int) -> float:
-    """sum_{tau=2..t} e^(-t+tau-1) * x1^(tau-2); always in [0, 1/(e-1)]."""
-    return sum(math.exp(-t + tau - 1) * first_bits[tau - 2] for tau in range(2, t + 1))

@@ -1,4 +1,4 @@
-"""Experiment configuration, parallel Monte Carlo execution, and result files.
+"""Experiment configuration, parallel Monte Carlo execution, and the report formats.
 
 Every trial draws from its own stream derived from (master seed, point
 index, trial index), and its outcome is mapped back in trial order, so the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import numbers
 import os
@@ -160,6 +159,9 @@ class PointResult:
 class ExperimentReport:
     config: ExperimentConfig
     points: list[PointResult] = field(default_factory=list)
+    # messages of the trials that raised, in point and trial order; the
+    # report formats carry only their per-point count, ``failed_count``
+    errors: list[str] = field(default_factory=list)
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -198,7 +200,7 @@ def _run_trial(
             kind = MutationKind.ONE_BIT if algorithm == "rls" else MutationKind.BITWISE
             result = run_alg1(n, kind, budget, rng, early_exit)
     except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
-        return str(exc)
+        return f"{type(exc).__name__}: {exc}"
     return result.kind, result.generation  # a third of a TrialOutcome's pickle
 
 
@@ -221,20 +223,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 point_index, config.early_exit,
             )
             outcomes = map_trials(run_trial, range(config.trials))  # in trial order
-            report.points.append(_aggregate(config, n, mu, outcomes))
+            report.points.append(_aggregate(config, n, mu, outcomes, report.errors))
     return report
 
 
 def _aggregate(
     config: ExperimentConfig, n: int, mu: int,
-    outcomes: Iterable[tuple[OutcomeKind, int] | str],
+    outcomes: Iterable[tuple[OutcomeKind, int] | str], errors: list[str],
 ) -> PointResult:
+    """Count one point's outcomes; the message of each trial that raised goes to ``errors``."""
     counts = dict.fromkeys(OutcomeKind, 0)
     failed = 0
     opt_gens: list[int] = []
     for outcome in outcomes:
         if isinstance(outcome, str):
             failed += 1
+            errors.append(outcome)
             continue
         kind, generation = outcome
         counts[kind] += 1
@@ -295,22 +299,6 @@ def report_json_obj(report: ExperimentReport) -> dict:
         d["wilson95_hi"] = float(_fmt(hi))
         points.append(d)
     return {"config": asdict(report.config), "points": points}
-
-
-def write_report(report: ExperimentReport, path: str, format: str = "csv") -> None:
-    """Write the report as CSV (fixed column set) or an equivalent JSON object."""
-    try:
-        if format == "csv":
-            with open(path, "w") as fh:
-                fh.write(report_csv(report))
-        elif format == "json":
-            with open(path, "w") as fh:
-                json.dump(report_json_obj(report), fh, indent=2)
-                fh.write("\n")
-        else:
-            raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 @dataclass

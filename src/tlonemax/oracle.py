@@ -130,33 +130,11 @@ def chernoff_geometric(m: int, p: float, delta: float, side: str = "upper") -> f
 # Monotone helper functions
 # ---------------------------------------------------------------------------
 
-def h1(a: int, n: int, d: int, exact: bool = False):
-    """C(a+d-1, d) / n^(d+1) on d in [0, n-a-1]; strictly decreasing in d."""
-    _check_h_domain(a, n)
-    if not 0 <= d <= n - a - 1:
-        raise ValueError(f"d must be in [0, n-a-1], got d={d}")
-    if exact:
-        return Fraction(comb(a + d - 1, d), n ** (d + 1))
-    return math.exp(h1_log(a, n, np.array([d]))[0])
-
-
-def h2(a: int, n: int, d: int, exact: bool = False):
-    """C(a+d-1, d-1) / n^d on d in [1, n-a]; strictly decreasing in d."""
-    _check_h_domain(a, n)
-    if not 1 <= d <= n - a:
-        raise ValueError(f"d must be in [1, n-a], got d={d}")
-    if exact:
-        return Fraction(comb(a + d - 1, d - 1), n**d)
-    return math.exp(h2_log(a, n, np.array([d]))[0])
-
-
-def _check_h_domain(a: int, n: int) -> None:
-    if a < 1 or a >= n:
-        raise ValueError(f"need 1 <= a < n, got a={a}, n={n}")
-
-
 def h1_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
-    """log h1 over an integer array of d; log-space avoids the rapid underflow."""
+    """log of h1 = C(a+d-1, d) / n^(d+1), strictly decreasing in d on [0, n-a-1].
+
+    Evaluated over an integer array of d; log-space avoids the rapid underflow.
+    """
     from scipy.special import gammaln
 
     d = np.asarray(d, dtype=float)
@@ -164,22 +142,15 @@ def h1_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
 
 
 def h2_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
+    """log of h2 = C(a+d-1, d-1) / n^d, strictly decreasing in d on [1, n-a]."""
     from scipy.special import gammaln
 
     d = np.asarray(d, dtype=float)
     return gammaln(a + d) - gammaln(d) - gammaln(a + 1) - d * math.log(n)
 
 
-def g_fn(a: int, n: int) -> float:
-    """a^a / n^(a^2) on a in [1, sqrt(n)]; strictly decreasing in a."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 1 <= a <= math.isqrt(n):
-        raise ValueError(f"a must be in [1, sqrt(n)], got a={a}")
-    return math.exp(g_log(a, n))
-
-
 def g_log(a, n) -> float:
+    """log of g = a^a / n^(a^2), strictly decreasing in a on [1, sqrt(n)]."""
     a = np.asarray(a, dtype=float) if not np.isscalar(a) else float(a)
     return a * np.log(a) - a * a * math.log(n)
 
@@ -201,9 +172,6 @@ class BoundValue:
 
     value: float
     vacuous: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def theorem1_bound(n: int) -> BoundValue:

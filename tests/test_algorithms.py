@@ -11,15 +11,23 @@ from tlonemax import (
     OutcomeKind,
     Population,
     RandomStream,
+    TrialOutcome,
     alg1_step,
     alg2_step,
     classify,
+    population_census,
     run_alg1,
     run_alg2,
-    run_online,
 )
 from tlonemax.algorithms import default_budget_alg1, default_budget_alg2
 from tlonemax.fitness import fitness
+
+EVENT_I = OutcomeKind.STAGNATED_EVENT_I
+EVENT_II = OutcomeKind.STAGNATED_EVENT_II
+
+
+def _slot(prev, bits):
+    return (prev, sum(bit << i for i, bit in enumerate(bits)))
 
 
 class TestAlg1Step:
@@ -101,11 +109,6 @@ class TestRunAlg1:
                                rng=RandomStream(2, s), early_exit=False)
             assert outcome.kind in (OutcomeKind.OPTIMUM_FOUND, OutcomeKind.BUDGET_EXHAUSTED)
 
-    def test_failed_property(self):
-        stuck = run_alg1(4, MutationKind.ONE_BIT, rng=RandomStream(0, 1))
-        assert stuck.failed == (stuck.kind in (OutcomeKind.STAGNATED_EVENT_I,
-                                               OutcomeKind.STAGNATED_EVENT_II))
-
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_alg1(1, MutationKind.ONE_BIT)
@@ -180,6 +183,43 @@ class TestRunAlg2:
         outcome = run_alg2(8, 100, rng=RandomStream(7, 2))
         assert outcome.kind == OutcomeKind.OPTIMUM_FOUND
 
+    def test_early_exit_reaches_both_events(self):
+        # replays each run with a slot-by-slot scan in place of the census
+        # counters: the run must stop at the first generation where every
+        # slot is in event I, or every slot in event II
+        n, mu, budget = 3, 2, 300
+        kinds = set()
+        for s in range(30):
+            outcome = run_alg2(n, mu, budget, RandomStream(2, s))
+            kinds.add(outcome.kind)
+            rng = RandomStream(2, s)
+            pop = Population.random(n, mu, rng)
+            expected = TrialOutcome(OutcomeKind.OPTIMUM_FOUND, 0)
+            if not pop.optimum_generated:
+                expected = TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
+                for g in range(1, budget + 1):
+                    slot_kinds = {classify(b, value, n) for b, value, _ in pop.pairs()}
+                    if slot_kinds in ({EVENT_I}, {EVENT_II}):
+                        expected = TrialOutcome(slot_kinds.pop(), g)
+                        break
+                    alg2_step(pop, rng)
+                    if pop.optimum_generated:
+                        expected = TrialOutcome(OutcomeKind.OPTIMUM_FOUND, g)
+                        break
+            assert outcome == expected
+        assert {EVENT_I, EVENT_II} <= kinds
+
+    def test_no_early_exit_never_reports_events(self):
+        # both all-slot events are absorbing: without the early exit those
+        # trials run out the budget, and every other trial is unchanged
+        for s in range(30):
+            stopped = run_alg2(3, 2, 300, RandomStream(2, s))
+            full = run_alg2(3, 2, 300, RandomStream(2, s), early_exit=False)
+            if stopped.kind in (EVENT_I, EVENT_II):
+                assert full == TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, 300)
+            else:
+                assert full == stopped
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_alg2(1, 4)
@@ -210,30 +250,47 @@ class TestRunAlg2:
             assert abs(c1 - c2) / trials <= 3 * sigma, f"{kind}: {c1} vs {c2}"
 
 
-class TestRunOnline:
-    def test_records_are_consecutive_time_steps(self):
-        records = run_online(10, MutationKind.BITWISE, time_horizon=40,
-                             budget_per_step=500, rng=RandomStream(12))
-        assert [r.time_step for r in records] == list(range(2, 2 + len(records)))
+class TestCensus:
+    def test_counts_and_front_structure(self):
+        pop = Population(4, [
+            _slot(0, [0, 1, 1, 1]),  # (0,0) pattern, fitness 3 -> front, a = 1
+            _slot(0, [0, 0, 1, 1]),  # (0,0) pattern, fitness 2 -> d = 1
+            _slot(0, [1, 1, 1, 0]),  # (0,1) pattern, fitness 3 -> not above front
+            _slot(1, [1, 1, 1, 1]),  # (1,1) pattern
+        ])
+        report = population_census(pop)
+        assert report.pattern_counts == {(0, 0): 2, (0, 1): 1, (1, 0): 0, (1, 1): 1}
+        assert report.front_defined
+        assert report.best_00_fitness == 3
+        assert report.front_zeros == 1
+        assert report.m_histogram == {0: 1, 1: 1}
+        assert report.undefeated_count == 0
+        assert report.front_count == 1
+        assert report.interior_count == 3
 
-    def test_stops_at_component_maximum(self):
-        records = run_online(6, MutationKind.ONE_BIT, time_horizon=10_000,
-                             budget_per_step=2000, rng=RandomStream(7))
-        final = records[-1]
-        assert fitness(final.b, final.ones, 6) == 6  # pattern (0, 1...1) reached and run halted
-        assert classify(final.b, final.value, 6) is OutcomeKind.OPTIMUM_FOUND
+    def test_undefeated_requires_fitness_above_front(self):
+        pop = Population(4, [
+            _slot(0, [0, 0, 1, 1]),  # front fitness 2
+            _slot(0, [1, 1, 1, 0]),  # (0,1) with fitness 3 > 2: temporarily undefeated
+        ])
+        report = population_census(pop)
+        assert report.undefeated_count == 1
 
-    def test_stops_when_no_acceptance_is_possible(self):
-        # the stagnation pattern (0, 1, not-all-ones) rejects every one-bit
-        # offspring, so the driver halts well before the horizon
-        records = run_online(6, MutationKind.ONE_BIT, time_horizon=10_000,
-                             budget_per_step=2000, rng=RandomStream(0))
-        final = records[-1]
-        assert final.time_step < 10_000
-        assert classify(final.b, final.value, 6) is not OutcomeKind.OPTIMUM_FOUND
+    def test_front_undefined_without_00_slot(self):
+        pop = Population(3, [_slot(1, [0, 1, 1]), _slot(0, [1, 0, 1])])
+        report = population_census(pop)
+        assert not report.front_defined
+        assert report.best_00_fitness is None
+        assert report.front_zeros is None
+        assert report.m_histogram == {}
 
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            run_online(1, MutationKind.ONE_BIT, 10, 10)
-        with pytest.raises(ValueError):
-            run_online(4, MutationKind.ONE_BIT, 0, 10)
+    @settings(max_examples=50)
+    @given(st.integers(2, 8), st.integers(1, 8), st.integers(0, 2**31))
+    def test_partition_covers_population(self, n, mu, seed):
+        pop = Population.random(n, mu, RandomStream(seed))
+        report = population_census(pop)
+        assert sum(report.pattern_counts.values()) == mu
+        if report.front_defined:
+            assert report.undefeated_count + report.front_count + report.interior_count == mu
+            assert sum(report.m_histogram.values()) == report.pattern_counts[(0, 0)]
+            assert min(report.m_histogram) == 0  # the front itself sits at d = 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tlonemax import harness
 from tlonemax.acceptance import CriterionResult
 from tlonemax.cli import main
 
@@ -67,6 +68,29 @@ class TestRunCommand:
             assert captured.out == ""
             assert "error: budget_mult:" in captured.err
 
+    def test_trial_that_raises_exits_three(self, monkeypatch, capsys):
+        def run_alg1(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness, "run_alg1", run_alg1)
+        assert main(["run", "--alg", "rls", "--n", "5", "--trials", "10",
+                     "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("rls,5,1,10,0,0,0,0,")  # still written
+        assert captured.err == "error: 10 trial(s) raised; first: RuntimeError: injected\n"
+
+    def test_unwritable_path_has_context(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",
+                     "--workers", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_bad_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--alg", "rls", "--n", "4", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TLONEMAX_OUT", str(tmp_path))
         assert main(["run", "--alg", "rls", "--n", "4", "--trials", "5",
@@ -86,6 +110,16 @@ class TestSweepCommand:
         assert len(out.read_text().splitlines()) == 3
         err = capsys.readouterr().err
         assert "scaling" in err
+
+    def test_undefined_scaling_table_exits_zero(self, capsys):
+        # one-slot populations rarely succeed, so no point has the two
+        # successful trials a ratio needs
+        assert main(["sweep", "--alg", "muea", "--n", "4,6", "--mu", "1,1",
+                     "--trials", "5", "--seed", "1", "--workers", "1"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3
+        assert captured.err == (
+            "# scaling: scaling check needs >= 2 points with successful trials\n")
 
 
 class TestTableCommands:

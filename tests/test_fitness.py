@@ -1,13 +1,15 @@
-"""The two-step objective, its absorbing states, and the online discounted residual."""
-
-import math
+"""The two-step objective and its absorbing states."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlonemax import MutationKind, OutcomeKind, Population, RandomStream, classify, run_online
-from tlonemax.fitness import discount_residual, fitness
+from tlonemax import OutcomeKind, Population, classify
+from tlonemax.fitness import fitness
+
+EVENT_I = OutcomeKind.STAGNATED_EVENT_I
+EVENT_II = OutcomeKind.STAGNATED_EVENT_II
+OPTIMUM = OutcomeKind.OPTIMUM_FOUND
 
 
 def _v(bits):
@@ -41,41 +43,27 @@ class TestObjective:
         assert classify(0, _v([1, 1, 0]), 3) is not OutcomeKind.OPTIMUM_FOUND
 
 
-class TestOnlineObjective:
-    def test_residual_empty_below_t2(self):
-        assert discount_residual([1, 1, 1], 1) == 0.0
+class TestEvents:
+    def test_event_i_requires_pattern_01_and_missing_one(self):
+        assert classify(0, _v([1, 0, 1]), 3) is EVENT_I
+        assert classify(0, _v([1, 1, 1]), 3) is not EVENT_I  # rest all ones: the optimum
+        assert classify(1, _v([1, 0, 1]), 3) is not EVENT_I  # wrong stored bit
+        assert classify(0, _v([0, 0, 1]), 3) is not EVENT_I  # current first bit 0
 
-    def test_residual_single_term(self):
-        # only tau=2 contributes: e^(-t+1) * x1 of step 0
-        assert discount_residual([1, 0, 0], 2) == pytest.approx(math.exp(-1))
-        assert discount_residual([0, 1, 1], 2) == 0.0
+    def test_event_ii_is_stored_one_with_all_ones(self):
+        assert classify(1, _v([1, 1, 1]), 3) is EVENT_II
+        assert classify(1, _v([1, 1, 0]), 3) is not EVENT_II
+        assert classify(0, _v([1, 1, 1]), 3) is not EVENT_II
 
-    @given(st.lists(st.integers(0, 1), min_size=3, max_size=20))
-    def test_residual_bounded_by_geometric_series(self, first_bits):
-        t = len(first_bits) - 1
-        r = discount_residual(first_bits, t)
-        assert 0.0 <= r <= 1.0 / (math.e - 1.0) + 1e-12
+    def test_optimum_is_not_an_event(self):
+        assert classify(0, _v([1, 1, 1]), 3) is OPTIMUM
 
-    @given(st.lists(st.integers(0, 1), min_size=4, max_size=20))
-    def test_residual_recurrence(self, first_bits):
-        # r(t+1) = (r(t) + x1^(t-1)) / e
-        t = len(first_bits) - 1
-        lhs = discount_residual(first_bits, t)
-        rhs = (discount_residual(first_bits, t - 1) + first_bits[t - 2]) / math.e
-        assert lhs == pytest.approx(rhs, abs=1e-15)
-
-    def test_objective_is_residual_plus_final_pair(self):
-        # the incremental residual equals the direct sum over the first bits
-        # of x^0 (replayed from the same stream) and of every accepted string
-        n = 10
-        for seed, kind in ((15, MutationKind.BITWISE), (21, MutationKind.ONE_BIT)):
-            records = run_online(n, kind, time_horizon=60, budget_per_step=500,
-                                 rng=RandomStream(seed))
-            assert len(records) >= 5 and any(r.b for r in records)  # residual not all zero
-            first_bits = [RandomStream(seed).random_bits(n) & 1]
-            for record in records:
-                first_bits.append(record.b)  # the stored bit is x_1 of step t-1
-                assert record.ones == record.value.bit_count()
-                expected = (discount_residual(first_bits, record.time_step)
-                            + fitness(record.b, record.ones, n))
-                assert record.objective == pytest.approx(expected, rel=0, abs=1e-12)
+    @given(st.integers(0, 1), st.lists(st.integers(0, 1), min_size=2, max_size=16))
+    def test_events_and_optimum_mutually_exclusive(self, prev, bits):
+        # the definitions, written out independently of classify
+        event_i = prev == 0 and bits[0] == 1 and not all(bits[1:])
+        event_ii = prev == 1 and all(bits)
+        optimum = prev == 0 and all(bits)
+        assert event_i + event_ii + optimum <= 1
+        expected = EVENT_I if event_i else EVENT_II if event_ii else OPTIMUM if optimum else None
+        assert classify(prev, _v(bits), len(bits)) is expected

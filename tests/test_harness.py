@@ -13,10 +13,9 @@ from tlonemax import (
     run_experiment,
     runtime_scaling_check,
     wilson_interval,
-    write_report,
 )
 from tlonemax import harness
-from tlonemax.harness import ConfigError, PointResult, report_csv
+from tlonemax.harness import ConfigError, PointResult, report_csv, report_json_obj
 
 
 _CSV_HEADER_TEXT = (
@@ -172,7 +171,7 @@ class TestRunExperiment:
         assert sizes == [2]  # one pool for both points, one process per one-trial chunk
         assert [p.trials for p in report.points] == [2, 2]
 
-    def test_trial_that_raises_is_counted_failed(self, monkeypatch, tmp_path):
+    def test_trial_that_raises_is_counted_failed(self, monkeypatch):
         real_run_alg1 = harness.run_alg1
         calls = []
 
@@ -188,9 +187,8 @@ class TestRunExperiment:
         assert point.failed_count == 1 and len(calls) == 10
         assert (point.opt_count + point.event_i_count + point.event_ii_count
                 + point.budget_count) == 9
-        path = tmp_path / "report.csv"
-        write_report(report, str(path), "csv")
-        assert path.read_text().splitlines()[1].startswith("rls,5,1,10,")
+        assert report.errors == ["RuntimeError: injected"]
+        assert report_csv(report).splitlines()[1].startswith("rls,5,1,10,")
 
     def test_rerun_is_bit_identical(self):
         a = report_csv(run_experiment(_small_config()))
@@ -239,11 +237,9 @@ class TestRunExperiment:
 
 
 class TestReportFiles:
-    def test_csv_header_and_roundtrip(self, tmp_path):
+    def test_csv_header_and_roundtrip(self):
         report = run_experiment(_small_config())
-        path = tmp_path / "report.csv"
-        write_report(report, str(path), "csv")
-        text = path.read_text()
+        text = report_csv(report)
         header = _CSV_HEADER_TEXT
         assert text.count(header) == 1 and text.startswith(header)
         rows = list(csv.DictReader(text.splitlines()))
@@ -252,11 +248,9 @@ class TestReportFiles:
         assert int(rows[0]["opt_count"]) == point.opt_count
         assert float(rows[0]["success_rate"]) == pytest.approx(point.success_rate, rel=1e-5)
 
-    def test_json_mirrors_csv_fields(self, tmp_path):
+    def test_json_mirrors_csv_fields(self):
         report = run_experiment(_small_config())
-        path = tmp_path / "report.json"
-        write_report(report, str(path), "json")
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(report_json_obj(report)))
         assert data["config"]["algorithm"] == "rls"
         point = data["points"][0]
         for key in ("opt_count", "success_rate", "wilson95_lo", "cond_mean_gens", "seed"):
@@ -267,16 +261,6 @@ class TestReportFiles:
         line = report_csv(report).splitlines()[1]
         rate_field = line.split(",")[8]
         assert len(rate_field.replace(".", "").replace("-", "").lstrip("0")) <= 6
-
-    def test_bad_format_rejected(self, tmp_path):
-        report = run_experiment(_small_config(trials=2))
-        with pytest.raises(ValueError):
-            write_report(report, str(tmp_path / "x"), "xml")
-
-    def test_unwritable_path_has_context(self):
-        report = run_experiment(_small_config(trials=2))
-        with pytest.raises(OSError, match="/no/such/dir"):
-            write_report(report, "/no/such/dir/report.csv", "csv")
 
 
 class TestScalingCheck:

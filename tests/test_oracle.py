@@ -14,9 +14,6 @@ from tlonemax import (
     chernoff_additive,
     chernoff_geometric,
     chernoff_lower,
-    g_fn,
-    h1,
-    h2,
     lemma2_bruteforce,
     lemma2_exact,
     markov_full_absorption,
@@ -119,13 +116,16 @@ class TestTailBounds:
 
 class TestMonotoneHelpers:
     def test_h_exact_values(self):
-        assert h1(2, 5, 1, exact=True) == Fraction(2, 25)
-        assert h2(2, 5, 2, exact=True) == Fraction(3, 25)
+        # h1 = C(a+d-1, d) / n^(d+1) and h2 = C(a+d-1, d-1) / n^d
+        assert math.exp(h1_log(2, 5, [1])[0]) == pytest.approx(2 / 25, rel=1e-12)
+        assert math.exp(h2_log(2, 5, [2])[0]) == pytest.approx(3 / 25, rel=1e-12)
 
     def test_exact_and_log_agree(self):
-        for a, n, d in ((1, 10, 3), (4, 12, 5), (2, 30, 20)):
-            assert h1(a, n, d) == pytest.approx(float(h1(a, n, d, exact=True)), rel=1e-12)
-            assert h2(a, n, d + 1) == pytest.approx(float(h2(a, n, d + 1, exact=True)), rel=1e-12)
+        for a, n, d in ((2, 5, 1), (1, 10, 3), (4, 12, 5), (2, 30, 20)):
+            h1 = Fraction(math.comb(a + d - 1, d), n ** (d + 1))
+            h2 = Fraction(math.comb(a + d, d), n ** (d + 1))  # h2 at d+1
+            assert h1_log(a, n, [d])[0] == pytest.approx(math.log(h1), rel=1e-12)
+            assert h2_log(a, n, [d + 1])[0] == pytest.approx(math.log(h2), rel=1e-12)
 
     def test_strictly_decreasing_small_grid(self):
         for n in (5, 20, 80):
@@ -136,7 +136,7 @@ class TestMonotoneHelpers:
                 assert np.all(np.diff(v2) < 0)
 
     def test_g_values_and_monotonicity(self):
-        assert g_fn(1, 100) == pytest.approx(1.0 / 100.0)
+        assert g_log(1, 100) == pytest.approx(math.log(1.0 / 100.0), rel=1e-12)
         values = g_log(np.arange(1, 11), 100)
         assert np.all(np.diff(values) < 0)
 
@@ -145,16 +145,6 @@ class TestMonotoneHelpers:
         assert aux_ineq(1_000_000)
         with pytest.raises(ValueError):
             aux_ineq(118)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            h1(0, 5, 1)
-        with pytest.raises(ValueError):
-            h1(2, 5, 3)  # d beyond n-a-1
-        with pytest.raises(ValueError):
-            h2(2, 5, 0)
-        with pytest.raises(ValueError):
-            g_fn(11, 100)  # a beyond sqrt(n)
 
 
 class TestTheoremBounds:
