@@ -4,15 +4,21 @@ Bit strings are plain Python integers (bit i of the integer is position i+1
 of the string) carried with their ones-count, so fitness evaluation and
 mutation deltas are O(1) word operations.  Each mutation operator takes and
 returns the raw ``(value, ones)`` pair.
+
+A stream draws from one block of raw 64-bit words, filled lazily: the first
+fill is 16 words and each later fill doubles, up to 4096, so a short trial
+generates about as many words as it uses.  Uniform bits, bounded indices
+and position subsets all consume that one block; binomial flip counts come
+from a block per ``(n, rate)`` that grows the same way.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-_BLOCK = 4096
+_FIRST_FILL = 16
+_MAX_FILL = 4096
+_WORD_MASK = (1 << 64) - 1
 
 
 class RandomStream:
@@ -25,49 +31,54 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream) & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
+        key = np.array([int(seed) & _WORD_MASK, int(stream) & _WORD_MASK], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-        # block caches for hot loops: {n: (array, cursor)}
-        self._index_blocks: dict[int, tuple[np.ndarray, int]] = {}
-        self._flip_blocks: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
+        # unread draws, last-drawn first so list.pop() reads them in order
+        self._words: list[int] = []
+        self._next_fill = _FIRST_FILL
+        self._flip_blocks: dict[tuple[int, float], tuple[list[int], int]] = {}
+
+    def _refill(self) -> list[int]:
+        """Replace the spent word block with the next, larger one."""
+        size = self._next_fill
+        self._words = self.generator.integers(0, 1 << 64, size=size, dtype=np.uint64).tolist()
+        self._words.reverse()
+        self._next_fill = min(2 * size, _MAX_FILL)
+        return self._words
 
     def random_bits(self, n: int) -> int:
-        """Uniform n-bit integer."""
-        nbytes = (n + 7) // 8
-        raw = int.from_bytes(self.generator.bytes(nbytes), "little")
+        """Uniform n-bit integer: ceil(n/64) words, the first in the low bits."""
+        raw = 0
+        for shift in range(0, n, 64):
+            raw |= (self._words or self._refill()).pop() << shift
         return raw & ((1 << n) - 1)
 
-    def next_index(self, n: int) -> int:
-        """Uniform integer in [0, n), drawn from a refillable block."""
-        block, cursor = self._index_blocks.get(n, (None, 0))
-        if block is None or cursor >= len(block):
-            block = self.generator.integers(0, n, size=_BLOCK)
-            cursor = 0
-        self._index_blocks[n] = (block, cursor + 1)
-        return int(block[cursor])
+    def next_index(self, k: int) -> int:
+        """Uniform integer in [0, k) by multiply-shift with rejection (Lemire 2019)."""
+        m = (self._words or self._refill()).pop() * k
+        if (m & _WORD_MASK) < k:  # only then can the low word fall below 2**64 % k
+            reject_below = (1 << 64) % k
+            while (m & _WORD_MASK) < reject_below:
+                m = (self._words or self._refill()).pop() * k
+        return m >> 64
 
     def next_flip_count(self, n: int, rate: float) -> int:
-        """Binomial(n, rate) draw, blocked for speed."""
+        """Binomial(n, rate) draw from a block that grows like the word block."""
         key = (n, rate)
-        block, cursor = self._flip_blocks.get(key, (None, 0))
-        if block is None or cursor >= len(block):
-            block = self.generator.binomial(n, rate, size=_BLOCK)
-            cursor = 0
-        self._flip_blocks[key] = (block, cursor + 1)
-        return int(block[cursor])
+        block, next_fill = self._flip_blocks.get(key, ((), _FIRST_FILL))
+        if not block:
+            block = self.generator.binomial(n, rate, size=next_fill).tolist()
+            block.reverse()
+            self._flip_blocks[key] = (block, min(2 * next_fill, _MAX_FILL))
+        return block.pop()
 
-    def distinct_indices(self, n: int, m: int) -> Sequence[int]:
-        """m distinct uniform positions in [0, n)."""
-        if m == 1:
-            return (self.next_index(n),)
-        if m == 2:
-            a = self.next_index(n)
-            b = self.next_index(n)
-            while b == a:
-                b = self.next_index(n)
-            return (a, b)
-        return self.generator.choice(n, size=m, replace=False)
+    def distinct_indices(self, n: int, m: int) -> set[int]:
+        """A uniform m-subset of [0, n) from exactly m index draws (Floyd's algorithm)."""
+        chosen: set[int] = set()
+        for j in range(n - m, n):
+            t = self.next_index(j + 1)
+            chosen.add(j if t in chosen else t)
+        return chosen
 
 
 def mutate_value_one_bit(value: int, ones: int, n: int, rng: RandomStream) -> tuple[int, int]:
@@ -87,6 +98,6 @@ def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tu
         return value, ones
     mask = 0
     for pos in rng.distinct_indices(n, m):
-        mask |= 1 << int(pos)
+        mask |= 1 << pos
     new = value ^ mask
     return new, ones + (new.bit_count() - value.bit_count())

@@ -208,19 +208,19 @@ class TestRunExperiment:
     def test_golden_report_bytes(self):
         # Pinned across commits: a refactor must keep these bytes, and only an
         # intentional change of the engines' draw order may update them.  The
-        # oea n=40 point draws flip counts of 3 or more (the generator.choice
-        # path); the muea point reaches every outcome, the budget included.
+        # oea n=40 point draws flip counts of 3 or more (Floyd subsets beyond
+        # two draws); the muea point reaches the optimum, event I and the budget.
         golden = [
             (dict(algorithm="rls", n_values=[6], trials=2000),
-             "rls,6,1,2000,335,1174,491,0,0.1675,0.151775,0.1845,11.6179,48.1943,"
+             "rls,6,1,2000,354,1143,503,0,0.177,0.160897,0.194342,11.1299,42.6667,"
              "-4.63365,20240901\n"),
             (dict(algorithm="oea", n_values=[6, 40], trials=500),
-             "oea,6,1,500,36,388,76,0,0.072,0.052458,0.0980684,8.66667,65.7778,"
+             "oea,6,1,500,42,378,80,0,0.084,0.0627441,0.111599,13.3095,108.69,"
              "-4.63365,20240901\n"
-             "oea,40,1,500,1,420,79,0,0.002,0.000353136,0.0112407,300,0,"
+             "oea,40,1,500,4,418,78,0,0.008,0.00311532,0.020387,303.5,1927.25,"
              "-11.7388,20240901\n"),
             (dict(algorithm="muea", n_values=[8], mu_values=[4], trials=200),
-             "muea,8,4,200,152,28,3,17,0.76,0.696267,0.813934,76.8684,1928.46,"
+             "muea,8,4,200,149,30,0,21,0.745,0.680371,0.800395,76.4161,1744.86,"
              "-16.0973,20240901\n"),
         ]
         for fields, rows in golden:
