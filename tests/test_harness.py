@@ -209,7 +209,8 @@ class TestRunExperiment:
         # Pinned across commits: a refactor must keep these bytes, and only an
         # intentional change of the engines' draw order may update them.  The
         # oea n=40 point draws flip counts of 3 or more (Floyd subsets beyond
-        # two draws); the muea point reaches the optimum, event I and the budget.
+        # two draws); the mu=4 muea point reaches the optimum, event I and the
+        # budget, and the mu=2 point also ends in event II.
         golden = [
             (dict(algorithm="rls", n_values=[6], trials=2000),
              "rls,6,1,2000,354,1143,503,0,0.177,0.160897,0.194342,11.1299,42.6667,"
@@ -222,6 +223,9 @@ class TestRunExperiment:
             (dict(algorithm="muea", n_values=[8], mu_values=[4], trials=200),
              "muea,8,4,200,149,30,0,21,0.745,0.680371,0.800395,76.4161,1744.86,"
              "-16.0973,20240901\n"),
+            (dict(algorithm="muea", n_values=[8], mu_values=[2], trials=200),
+             "muea,8,2,200,63,98,14,25,0.315,0.254623,0.38235,42.6349,766.994,"
+             "-15.3615,20240901\n"),
         ]
         for fields, rows in golden:
             config = ExperimentConfig(master_seed=20240901, workers=1, **fields)
