@@ -10,6 +10,11 @@ fill is 16 words and each later fill doubles, up to 4096, so a short trial
 generates about as many words as it uses.  Uniform bits, bounded indices
 and position subsets all consume that one block; binomial flip counts come
 from a block per ``(n, rate)`` that grows the same way.
+
+Building a numpy generator costs about as much as a short trial, so a
+stream can be re-keyed in place: ``rekey(seed, stream)`` resets the Philox
+state and the blocks, and its draws are identical to a fresh
+``RandomStream(seed, stream)``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 _FIRST_FILL = 16
 _MAX_FILL = 4096
 _WORD_MASK = (1 << 64) - 1
+_ZERO_WORDS = (0, 0, 0, 0)  # Philox counter and output buffer at the start of a key
 
 
 class RandomStream:
@@ -31,12 +37,22 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        key = np.array([int(seed) & _WORD_MASK, int(stream) & _WORD_MASK], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
+        self.generator = np.random.Generator(np.random.Philox(key=0))
+        self.rekey(seed, stream)
+
+    def rekey(self, seed: int, stream: int = 0) -> RandomStream:
+        """Restart this stream as ``RandomStream(seed, stream)`` would start, and return it."""
+        self.generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS,
+                      "key": (int(seed) & _WORD_MASK, int(stream) & _WORD_MASK)},
+            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
         # unread draws, last-drawn first so list.pop() reads them in order
         self._words: list[int] = []
         self._next_fill = _FIRST_FILL
         self._flip_blocks: dict[tuple[int, float], tuple[list[int], int]] = {}
+        return self
 
     def _refill(self) -> list[int]:
         """Replace the spent word block with the next, larger one."""

@@ -2,7 +2,9 @@
 
 Every trial draws from its own stream derived from (master seed, point
 index, trial index), and its outcome is mapped back in trial order, so the
-report bytes never depend on the worker count.
+report bytes never depend on the worker count.  Each process keeps one
+``RandomStream`` and re-keys it for every trial; its draws are identical to
+a fresh ``RandomStream(master_seed, key)``.
 """
 
 from __future__ import annotations
@@ -183,8 +185,13 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return (lo, hi)
 
 
+# A trial never outlives its _run_trial call, and the in-process map runs
+# trials one at a time, so one stream per process (each fork copies it) suffices.
+_STREAM = RandomStream(0)
+
+
 def _trial_stream(master_seed: int, point_index: int, trial: int) -> RandomStream:
-    return RandomStream(master_seed, (point_index << 32) | trial)
+    return _STREAM.rekey(master_seed, (point_index << 32) | trial)
 
 
 def _run_trial(

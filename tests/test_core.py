@@ -37,6 +37,12 @@ class _FillSizes:
         return self._generator.binomial(*args, size=size)
 
 
+def draws(rng):
+    """Every consumer of a stream in turn, 3000 times over."""
+    return [(rng.random_bits(130), rng.next_index(769), rng.next_flip_count(40, 1 / 40),
+             sorted(rng.distinct_indices(40, 5))) for _ in range(3000)]
+
+
 class TestRandomStream:
     def test_same_key_replays_identically(self):
         a = RandomStream(12, 34)
@@ -122,11 +128,19 @@ class TestSampler:
         assert fills.sizes == [16 << i for i in range(9)] + [4096, 4096]
 
     def test_interleaved_draws_replay(self):
-        def draws(rng):
-            return [(rng.random_bits(130), rng.next_index(769), rng.next_flip_count(40, 1 / 40),
-                     sorted(rng.distinct_indices(40, 5))) for _ in range(3000)]
-
         assert draws(RandomStream(77, 3)) == draws(RandomStream(77, 3))
+
+    def test_rekey_replays_a_fresh_stream(self):
+        rng = RandomStream(1, 2)
+        for _ in range(10):  # leave part-used word and flip blocks, and a larger next fill
+            rng.random_bits(130)
+            rng.next_index(769)
+            rng.next_flip_count(40, 1 / 40)
+            rng.distinct_indices(40, 5)
+        rng.next_flip_count(100, 0.5)  # rejection sampling: a part-used Philox output buffer
+        assert rng.generator.bit_generator.state["buffer_pos"] < 4
+        assert rng.rekey(77, 3) is rng
+        assert draws(rng) == draws(RandomStream(77, 3))
 
 
 class TestMutation:

@@ -190,6 +190,29 @@ class TestRunExperiment:
         assert report.errors == ["RuntimeError: injected"]
         assert report_csv(report).splitlines()[1].startswith("rls,5,1,10,")
 
+    def test_trial_that_raises_leaves_the_others_unchanged(self, monkeypatch):
+        # each process re-keys one stream per trial, so a trial that raises
+        # part-way through its draws must leave nothing for the next trial
+        args = ("oea", 6, 1, harness.default_budget_alg1(6), 20240901, 0, True)
+        clean = [harness._run_trial(*args, t) for t in range(10)]
+        real_run_alg1 = harness.run_alg1
+        calls = []
+
+        def run_alg1(n, kind, budget, rng, early_exit):
+            calls.append(n)
+            if len(calls) == 4:  # trial 3
+                rng.random_bits(300)
+                rng.next_flip_count(n, 1.0 / n)
+                rng.next_flip_count(150, 0.5)  # rejection sampling
+                assert rng.generator.bit_generator.state["buffer_pos"] < 4  # buffer part-used
+                raise RuntimeError("injected")
+            return real_run_alg1(n, kind, budget, rng, early_exit)
+
+        monkeypatch.setattr(harness, "run_alg1", run_alg1)
+        outcomes = [harness._run_trial(*args, t) for t in range(10)]
+        assert outcomes[3] == "RuntimeError: injected"
+        assert outcomes[:3] + outcomes[4:] == clean[:3] + clean[4:]
+
     def test_rerun_is_bit_identical(self):
         a = report_csv(run_experiment(_small_config()))
         b = report_csv(run_experiment(_small_config()))
