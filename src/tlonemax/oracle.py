@@ -5,7 +5,9 @@ independent brute-force enumeration), the tail-bound evaluators, the
 monotone helper functions, the probability bounds of the main results, and
 exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
-reduction.
+reduction.  Selection never lowers the fitness, so both chains are solved
+by back-substitution over fitness levels, from the highest down, with one
+small linear solve per level and no dense transition matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from .algorithms import MutationKind
-from .fitness import OutcomeKind, accepts, classify
+from .fitness import OutcomeKind, accepts, classify, fitness
 
 _E = math.e
 
@@ -33,23 +35,24 @@ def lemma2_exact(n: int, a: int) -> Fraction:
 
     Closed-form ratio of the two combinatorial sums, evaluated in exact
     rational arithmetic (every term shares the denominator n^n, so both sums
-    reduce to integer accumulation).
+    reduce to integer accumulation).  A term flips i zeros and j ones, so
+    its weight is (n-1)^(n-i-j); the powers and the C(n-a, j) factors are
+    tabulated once per call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= a <= n:
         raise ValueError(f"a must be in [1..n], got a={a}")
+    power = [(n - 1) ** e for e in range(n + 1)]
+    # C(n-a, j) for every j that can be nonzero in a term with i <= a
+    choose_ones = [comb(n - a, j) for j in range(min(a, n - a + 1))]
     num = 0  # terms for exactly one net new one
     den = 0  # terms for any positive gain
     for i in range(1, a + 1):
         ca = comb(a, i)
-        t = comb(n - a, i - 1)
-        if t:
-            num += ca * t * (n - 1) ** (n - 2 * i + 1)
-        for j in range(0, i):
-            t = comb(n - a, j)
-            if t:
-                den += ca * t * (n - 1) ** (n - i - j)
+        if i <= len(choose_ones):
+            num += ca * choose_ones[i - 1] * power[n - 2 * i + 1]
+        den += ca * sum(t * power[n - i - j] for j, t in enumerate(choose_ones[:i]))
     return Fraction(num, den)
 
 
@@ -289,28 +292,36 @@ def _selection_chain(
     offspring class of a class-c string, and ``class_weights`` the law of the
     class of a uniform random string.  From a transient state (b, c) the
     offspring class c' moves the chain to (first[c], c') when ``accepts``
-    takes it; otherwise the state stays.  All three absorption classes come
-    from one solve with a 3-column right-hand side.
+    takes it; otherwise the state stays.
+
+    ``accepts`` never lowers the fitness, so ordered by fitness the chain is
+    block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3).
+    The transient states are solved one fitness level at a time, from the
+    highest down: each level's right-hand side reads the absorption
+    probabilities of the states it can move to, which are absorbing or
+    already solved, and its own states enter one small solve (at most 4 per
+    level in the lumped chain).
     """
     C = len(reps)
     labels = np.array(
         [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int64
     )
-    P = np.zeros((2 * C, 2 * C))
-    cs = np.arange(C)
-    for b in (0, 1):
-        accept = accepts(b, ones[:, None], first[:, None], ones, n)
-        rows = P[b * C:(b + 1) * C]
-        rows.reshape(C, 2, C)[cs, first] = np.where(accept, M, 0.0)
-        rows[cs, b * C + cs] += np.where(accept, 0.0, M).sum(axis=1)
-
-    # an absorbing state keeps its own class with probability 1, so only the
-    # transient rows of P enter the solve
-    trans = np.flatnonzero(labels == TRANSIENT)
+    # rows of transient states stay 0 until their level is solved
     absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
-    A = -P[np.ix_(trans, trans)]
-    A[np.diag_indices_from(A)] += 1.0
-    absorbed[trans] = np.linalg.solve(A, (P @ absorbed)[trans])
+    by_first = absorbed.reshape(2, C, 3)
+    trans = np.flatnonzero(labels == TRANSIENT)
+    level = fitness(trans // C, ones[trans % C], n)
+    order = np.argsort(-level, kind="stable")
+    for states in np.split(trans[order], np.flatnonzero(np.diff(level[order])) + 1):
+        b, c = np.divmod(states, C)
+        x1 = first[c, None]
+        accept = accepts(b[:, None], ones[c, None], x1, ones, n)
+        moves = np.where(accept, M[c], 0.0)
+        rhs = np.where(x1 == 1, moves @ by_first[1], moves @ by_first[0])
+        # moves within the level, plus the rejected mass that stays put
+        Q = moves[:, c] * (x1 == b)
+        Q[np.diag_indices_from(Q)] += np.where(accept, 0.0, M[c]).sum(axis=1)
+        absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
         n=n,

@@ -1,6 +1,7 @@
 """Closed forms, tail bounds, and the exact absorption solvers."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,23 @@ from tlonemax.oracle import (
 )
 
 
+def _term_by_term_lemma2(n, a):
+    """The closed form of ``lemma2_exact``, with every power and binomial
+    computed inside its own term: the reference for the tabulated version."""
+    num = 0
+    den = 0
+    for i in range(1, a + 1):
+        ca = math.comb(a, i)
+        t = math.comb(n - a, i - 1)
+        if t:
+            num += ca * t * (n - 1) ** (n - 2 * i + 1)
+        for j in range(0, i):
+            t = math.comb(n - a, j)
+            if t:
+                den += ca * t * (n - 1) ** (n - i - j)
+    return Fraction(num, den)
+
+
 class TestConditionalProbability:
     def test_frozen_exact_values(self):
         # independently verified against the 2^n mask enumeration
@@ -51,6 +69,12 @@ class TestConditionalProbability:
         for n in range(2, 9):
             for a in range(1, n + 1):
                 assert lemma2_exact(n, a) == lemma2_bruteforce(n, a)
+
+    def test_equals_term_by_term_sums(self):
+        for a in range(1, 61):
+            assert lemma2_exact(60, a) == _term_by_term_lemma2(60, a)
+        for a in (1, 2, 100, 199, 200):
+            assert lemma2_exact(200, a) == _term_by_term_lemma2(200, a)
 
     def test_lower_bound_holds(self):
         for n in range(2, 13):
@@ -232,7 +256,8 @@ def _per_state_loop_chain(n, kind):
 
 class TestAbsorption:
     def test_matches_per_state_loop(self):
-        for n in (2, 3, 5):
+        # at n=8 a fitness level holds up to 70 transient states
+        for n in (2, 3, 5, 8):
             for kind in MutationKind:
                 result = markov_full_absorption(n, kind)
                 p_opt, p_i, p_ii = _per_state_loop_chain(n, kind)
@@ -296,6 +321,17 @@ class TestAbsorption:
             assert np.max(np.abs(result.residual)) < 1e-8
             assert result.failure_probability() > 0.99
             assert result.failure_probability() == pytest.approx(failure, abs=1e-12)
+
+    def test_lumped_holds_no_dense_chain_matrix(self):
+        # a dense (4n)^2 chain at n=400 alone would take 20 MB
+        for kind in MutationKind:
+            tracemalloc.start()
+            try:
+                markov_lumped_absorption(400, kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
