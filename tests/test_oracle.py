@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import stats
 from hypothesis import strategies as st
 
 from tlonemax import (
@@ -24,6 +25,7 @@ from tlonemax import (
     theorem2_bound,
     theorem3_bound,
 )
+from tlonemax import oracle
 from tlonemax.oracle import (
     EVENT_I,
     EVENT_II,
@@ -254,7 +256,40 @@ def _per_state_loop_chain(n, kind):
     return result
 
 
+def _per_k_pmf_lumped_chain(n):
+    """The bitwise lumped chain with its kernel built one row at a time.
+
+    Each row takes two ``stats.binom.pmf`` calls, flips among the k ones and
+    among the n-1-k zeros, and convolves them: the reference for the
+    table-built kernel of ``markov_lumped_absorption``.
+    """
+    p = 1.0 / n
+    ks = np.arange(n)
+    kdist = np.zeros((n, n))
+    for k in range(n):
+        down = stats.binom.pmf(np.arange(k + 1), k, p)
+        up = stats.binom.pmf(np.arange(n - k), n - 1 - k, p)
+        kdist[k] = np.convolve(down[::-1], up)
+    stay, flip = (1.0 - p) * kdist, p * kdist
+    M = np.block([[stay, flip], [flip, stay]])
+    kw = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
+    reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
+    return oracle._selection_chain(
+        n, MutationKind.BITWISE, np.repeat([0, 1], n), np.concatenate([ks, ks + 1]),
+        reps, M, np.tile(kw, 2) / 2,
+    )
+
+
 class TestAbsorption:
+    def test_lumped_bitwise_equals_per_k_pmf_rows(self):
+        for n in (2, 3, 7, 64, 400):
+            result = markov_lumped_absorption(n, MutationKind.BITWISE)
+            reference = _per_k_pmf_lumped_chain(n)
+            assert np.array_equal(result.p_optimum, reference.p_optimum)
+            assert np.array_equal(result.p_event_i, reference.p_event_i)
+            assert np.array_equal(result.p_event_ii, reference.p_event_ii)
+            assert np.array_equal(result.start_weights, reference.start_weights)
+
     def test_matches_per_state_loop(self):
         # at n=8 a fitness level holds up to 70 transient states
         for n in (2, 3, 5, 8):
