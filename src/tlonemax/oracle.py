@@ -5,9 +5,12 @@ independent brute-force enumeration), the tail-bound evaluators, the
 monotone helper functions, the probability bounds of the main results, and
 exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
-reduction.  Selection never lowers the fitness, so both chains are solved
-by back-substitution over fitness levels, from the highest down, with one
-small linear solve per level and no dense transition matrix.
+reduction.  The full chain's bitwise kernel looks up one weight per
+Hamming distance; the lumped chain's bitwise kernel convolves slices of one
+vectorised table of binomial pmfs, one row per ones-count, and is
+assembled in place.  Selection never lowers the fitness, so both chains are
+solved by back-substitution over fitness levels, from the highest down,
+with one small linear solve per level and no dense transition matrix.
 """
 
 from __future__ import annotations
@@ -36,23 +39,30 @@ def lemma2_exact(n: int, a: int) -> Fraction:
     Closed-form ratio of the two combinatorial sums, evaluated in exact
     rational arithmetic (every term shares the denominator n^n, so both sums
     reduce to integer accumulation).  A term flips i zeros and j ones, so
-    its weight is (n-1)^(n-i-j); the powers and the C(n-a, j) factors are
-    tabulated once per call.
+    its weight is (n-1)^(n-i-j).  For i zeros the ones-flips run over
+    j < m = min(i, n-a+1), and with q = n-1 their sum is
+    q^(n-i-m+1) * T_m, where T_m = sum_{j<m} C(n-a, j) q^(m-1-j) follows
+    Horner's rule, T_{m+1} = q T_m + C(n-a, m); m stops growing once
+    i > n-a+1, and so does T_m.  Each i then costs O(1) big-integer
+    products, O(a) per call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= a <= n:
         raise ValueError(f"a must be in [1..n], got a={a}")
-    power = [(n - 1) ** e for e in range(n + 1)]
-    # C(n-a, j) for every j that can be nonzero in a term with i <= a
-    choose_ones = [comb(n - a, j) for j in range(min(a, n - a + 1))]
+    q = n - 1
+    power = [q**e for e in range(n + 1)]
     num = 0  # terms for exactly one net new one
     den = 0  # terms for any positive gain
+    inner = 0  # T_m
     for i in range(1, a + 1):
         ca = comb(a, i)
-        if i <= len(choose_ones):
-            num += ca * choose_ones[i - 1] * power[n - 2 * i + 1]
-        den += ca * sum(t * power[n - i - j] for j, t in enumerate(choose_ones[:i]))
+        m = min(i, n - a + 1)
+        if m == i:
+            t = comb(n - a, i - 1)
+            inner = inner * q + t
+            num += ca * t * power[n - 2 * i + 1]
+        den += ca * inner * power[n - i - m + 1]
     return Fraction(num, den)
 
 
@@ -316,11 +326,12 @@ def _selection_chain(
         b, c = np.divmod(states, C)
         x1 = first[c, None]
         accept = accepts(b[:, None], ones[c, None], x1, ones, n)
-        moves = np.where(accept, M[c], 0.0)
+        rows = M[c]
+        moves = np.where(accept, rows, 0.0)
         rhs = np.where(x1 == 1, moves @ by_first[1], moves @ by_first[0])
         # moves within the level, plus the rejected mass that stays put
         Q = moves[:, c] * (x1 == b)
-        Q[np.diag_indices_from(Q)] += np.where(accept, 0.0, M[c]).sum(axis=1)
+        Q.flat[:: len(states) + 1] += np.where(accept, 0.0, rows).sum(axis=1)
         absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
@@ -344,7 +355,8 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     ham = ones[np.bitwise_xor.outer(xs, xs)]
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
-        M = p**ham * (1 - p) ** (n - ham)
+        h = np.arange(n + 1)
+        M = (p**h * (1 - p) ** (n - h))[ham]
     else:
         M = np.where(ham == 1, 1.0 / n, 0.0)
     return _selection_chain(
@@ -368,19 +380,32 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     # jointly with its first bit kept (`stay`) or flipped (`flip`)
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
-        kdist = np.zeros((n, n))
+        # pmf[m, i] = P[Bin(m, p) = i], evaluated before M is allocated so
+        # that scipy's (n, n) temporaries never sit beside it
+        pmf = stats.binom.pmf(ks, ks[:, None], p)
+        M = np.empty((2 * n, 2 * n))
+        stay, flip = M[:n, :n], M[:n, n:]
         for k in range(n):
-            down = stats.binom.pmf(np.arange(k + 1), k, p)  # flips among ones
-            up = stats.binom.pmf(np.arange(n - k), n - 1 - k, p)  # flips among zeros
-            kdist[k] = np.convolve(down[::-1], up)  # pmf of k - i + j
-        stay, flip = (1.0 - p) * kdist, p * kdist
+            # flips among the k ones, then among the n-1-k zeros: pmf of k - i + j
+            stay[k] = np.convolve(pmf[k, k::-1], pmf[n - 1 - k, : n - k])
+        del pmf
+        np.multiply(stay, p, out=flip)
+        stay *= 1.0 - p
     else:
-        stay = np.diag(ks[1:] / n, -1) + np.diag((n - 1 - ks[:-1]) / n, 1)
-        flip = np.eye(n) / n
-    M = np.block([[stay, flip], [flip, stay]])
+        M = np.zeros((2 * n, 2 * n))
+        stay, flip = M[:n, :n], M[:n, n:]
+        stay[ks[1:], ks[:-1]] = ks[1:] / n
+        stay[ks[:-1], ks[1:]] = (n - 1 - ks[:-1]) / n
+        flip[ks, ks] = 1.0 / n
+    M[n:, :n] = flip
+    M[n:, n:] = stay
 
-    # uniform initialization projects to binomial weights over k
-    kw = np.array([comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
+    # uniform initialization projects to binomial weights over k,
+    # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers
+    counts = [1]
+    for k in range(n - 1):
+        counts.append(counts[-1] * (n - 1 - k) // (k + 1))
+    kw = np.array(counts, dtype=float) / 2 ** (n - 1)
     reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
     return _selection_chain(
         n, mutation_kind, np.repeat([0, 1], n), np.concatenate([ks, ks + 1]), reps, M,

@@ -73,6 +73,10 @@ class TestConditionalProbability:
                 assert lemma2_exact(n, a) == lemma2_bruteforce(n, a)
 
     def test_equals_term_by_term_sums(self):
+        # for a > (n+1)/2 the ones-flips stop at j = n-a before j = i-1
+        for n in range(2, 25):
+            for a in range(1, n + 1):
+                assert lemma2_exact(n, a) == _term_by_term_lemma2(n, a)
         for a in range(1, 61):
             assert lemma2_exact(60, a) == _term_by_term_lemma2(60, a)
         for a in (1, 2, 100, 199, 200):
