@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy import stats
 from hypothesis import strategies as st
+from scipy import stats
 
 from tlonemax import (
     MutationKind,
@@ -39,7 +39,7 @@ from tlonemax.oracle import (
 
 def _term_by_term_lemma2(n, a):
     """The closed form of ``lemma2_exact``, with every power and binomial
-    computed inside its own term: the reference for the tabulated version."""
+    computed inside its own term: the reference for its Horner form."""
     num = 0
     den = 0
     for i in range(1, a + 1):
