@@ -1,12 +1,15 @@
 """The built-in acceptance suite: ten numbered checks, one result line each.
 
-Each criterion is a standalone function returning a :class:`CriterionResult`;
-the CLI ``check`` subcommand and the test suite both call these, so the
-release gate and the interactive report can never drift apart.
+Each check returns ``(passed, detail)``; the ``_criterion`` decorator
+registers it once under its number and name, and the registered function
+returns a :class:`CriterionResult`.  The CLI ``check`` subcommand and the
+test suite both call these, so the release gate and the interactive report
+can never drift apart.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -54,7 +57,25 @@ class CriterionResult:
         return f"{status} criterion {self.number}: {self.name} -- {self.detail}"
 
 
-def criterion_1() -> CriterionResult:
+_CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str):
+    """Register a check returning ``(passed, detail)`` as criterion ``number``."""
+
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            return CriterionResult(number, name, *check())
+
+        _CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "conditional probability equivalence")
+def criterion_1():
     """Exact and brute-force conditional improvement probabilities agree."""
     worst = 0.0
     for n in range(2, 13):
@@ -63,26 +84,22 @@ def criterion_1() -> CriterionResult:
             brute = lemma2_bruteforce(n, a)
             worst = max(worst, abs(float(exact - brute)))
             if float(exact) <= lemma2_lower_bound(n, a):
-                return CriterionResult(
-                    1, "conditional probability equivalence", False,
-                    f"lower bound violated at n={n}, a={a}",
-                )
-    passed = worst <= 1e-12
-    return CriterionResult(
-        1, "conditional probability equivalence", passed,
+                return False, f"lower bound violated at n={n}, a={a}"
+    return (
+        worst <= 1e-12,
         f"max |exact - brute| = {worst:.3g} over n in [2..12] (tolerance 1e-12)",
     )
 
 
-def criterion_2(workers: int | None = None) -> CriterionResult:
+@_criterion(2, "exact chain vs Monte Carlo at n=6")
+def criterion_2():
     """Empirical failure rates at n=6 sit inside Wilson 99% of the exact chain."""
     details = []
     passed = True
     for alg, kind in (("rls", MutationKind.ONE_BIT), ("oea", MutationKind.BITWISE)):
         predicted = markov_full_absorption(6, kind).failure_probability()
         report = run_experiment(ExperimentConfig(
-            algorithm=alg, n_values=[6], trials=100_000,
-            master_seed=_SEED, workers=workers,
+            algorithm=alg, n_values=[6], trials=100_000, master_seed=_SEED,
         ))
         point = report.points[0]
         failures = point.event_i_count + point.event_ii_count
@@ -93,10 +110,11 @@ def criterion_2(workers: int | None = None) -> CriterionResult:
             f"{alg}: predicted {predicted:.5f} vs empirical {failures / point.trials:.5f}"
             f" in [{lo:.5f}, {hi:.5f}]" + ("" if ok else " OUTSIDE")
         )
-    return CriterionResult(2, "exact chain vs Monte Carlo at n=6", passed, "; ".join(details))
+    return passed, "; ".join(details)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "lumped-chain validity")
+def criterion_3():
     """Lumped chain reproduces the full chain for every small n.
 
     Both chains go through the one builder ``oracle._selection_chain``, so
@@ -110,19 +128,19 @@ def criterion_3() -> CriterionResult:
             full = markov_full_absorption(n, kind).from_uniform()
             lumped = markov_lumped_absorption(n, kind).from_uniform()
             worst = max(worst, max(abs(full[k] - lumped[k]) for k in full))
-    return CriterionResult(
-        3, "lumped-chain validity", worst <= 1e-10,
+    return (
+        worst <= 1e-10,
         f"max |full - lumped| = {worst:.3g} over n in [2..10], both mutation kinds",
     )
 
 
-def criterion_4(workers: int | None = None) -> CriterionResult:
+@_criterion(4, "failure-rate trend vs lumped chain")
+def criterion_4():
     """Single-individual failure rates track the lumped-chain predictions."""
     n_values = [20, 50, 100, 200]
     trials = 1000
     report = run_experiment(ExperimentConfig(
-        algorithm="oea", n_values=n_values, trials=trials,
-        master_seed=_SEED, workers=workers,
+        algorithm="oea", n_values=n_values, trials=trials, master_seed=_SEED,
     ))
     passed = True
     details = []
@@ -136,27 +154,27 @@ def criterion_4(workers: int | None = None) -> CriterionResult:
         passed = passed and ok
         details.append(f"n={point.n}: pred {predicted:.4f} emp {empirical:.4f}"
                        + ("" if ok else " OUTSIDE 3 SE"))
-    return CriterionResult(4, "failure-rate trend vs lumped chain", passed, "; ".join(details))
+    return passed, "; ".join(details)
 
 
-def criterion_5(workers: int | None = None) -> CriterionResult:
+@_criterion(5, "population success at n=20")
+def criterion_5():
     """The population algorithm at the guaranteed size almost always succeeds."""
     mu = min_population(20, 1e-9)
     if mu != 769:
-        return CriterionResult(5, "population success at n=20", False,
-                               f"min_population(20, 1e-9) = {mu}, expected 769")
+        return False, f"min_population(20, 1e-9) = {mu}, expected 769"
     report = run_experiment(ExperimentConfig(
-        algorithm="muea", n_values=[20], mu_values=[mu], trials=100,
-        master_seed=_SEED, workers=workers,
+        algorithm="muea", n_values=[20], mu_values=[mu], trials=100, master_seed=_SEED,
     ))
     rate = report.points[0].success_rate
-    return CriterionResult(
-        5, "population success at n=20", rate >= 0.95,
+    return (
+        rate >= 0.95,
         f"success rate {rate:.2f} with mu={mu} over 100 trials (threshold 0.95)",
     )
 
 
-def criterion_6(workers: int | None = None) -> CriterionResult:
+@_criterion(6, "runtime scaling ratio spread")
+def criterion_6():
     """Conditional mean generations grow like mu*n across the sweep.
 
     Stated gate: the ratio (conditional mean generations)/(mu*n) varies by at
@@ -170,8 +188,7 @@ def criterion_6(workers: int | None = None) -> CriterionResult:
     fifth of the climb, not the mu*n constant.
     """
     report = run_experiment(ExperimentConfig(
-        algorithm="muea", n_values=[20, 40, 80], trials=50,
-        master_seed=_SEED, workers=workers,
+        algorithm="muea", n_values=[20, 40, 80], trials=50, master_seed=_SEED,
     ))
     table = runtime_scaling_check(report)
     ratios = [row.ratio for row in table.rows if row.ratio is not None]
@@ -180,7 +197,7 @@ def criterion_6(workers: int | None = None) -> CriterionResult:
         f"n={row.n}: mu={row.mu} ratio={row.ratio:.3f}" for row in table.rows
         if row.ratio is not None
     ) + f"; spread {spread:.2f} (gate 2.0)"
-    return CriterionResult(6, "runtime scaling ratio spread", not table.flagged, detail)
+    return not table.flagged, detail
 
 
 def _random_event_i_slot(n: int, rng: RandomStream) -> tuple[int, int]:
@@ -195,7 +212,8 @@ def _event_ii_slot(n: int) -> tuple[int, int]:
     return (1, (1 << n) - 1)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "absorption persistence")
+def criterion_7():
     """Stagnation states are absorbing: long continued runs never escape."""
     n, steps, trials_per_case = 10, 10_000, 250
     rng = RandomStream(_SEED, 7)
@@ -230,50 +248,43 @@ def criterion_7() -> CriterionResult:
     for name, runner in cases:
         for _ in range(trials_per_case):
             if not runner():
-                return CriterionResult(7, "absorption persistence", False,
-                                       f"escape from {name} within {steps} generations")
+                return False, f"escape from {name} within {steps} generations"
     total = trials_per_case * len(cases)
-    return CriterionResult(
-        7, "absorption persistence", True,
-        f"{total} trials x {steps} generations: no escape, no optimum, from any event",
-    )
+    return True, f"{total} trials x {steps} generations: no escape, no optimum, from any event"
 
 
 def _strictly_decreasing(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) < 0)) if len(values) > 1 else True
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "monotonicity suite")
+def criterion_8():
     """The three helper functions are strictly decreasing on their domains."""
     for n in range(2, 501):
         for a in range(1, n):
             d1 = np.arange(0, n - a)
             if not _strictly_decreasing(h1_log(a, n, d1)):
-                return CriterionResult(8, "monotonicity suite", False,
-                                       f"h1 not strictly decreasing at a={a}, n={n}")
+                return False, f"h1 not strictly decreasing at a={a}, n={n}"
             d2 = np.arange(1, n - a + 1)
             if not _strictly_decreasing(h2_log(a, n, d2)):
-                return CriterionResult(8, "monotonicity suite", False,
-                                       f"h2 not strictly decreasing at a={a}, n={n}")
+                return False, f"h2 not strictly decreasing at a={a}, n={n}"
     for n in range(2, 10_001):
         amax = math.isqrt(n)
         if amax >= 2 and not _strictly_decreasing(g_log(np.arange(1, amax + 1), n)):
-            return CriterionResult(8, "monotonicity suite", False,
-                                   f"g not strictly decreasing at n={n}")
+            return False, f"g not strictly decreasing at n={n}"
     lo, hi = (4.0 * math.e) ** 2, 1e6
     samples = np.unique(np.round(np.geomspace(math.floor(lo) + 1, hi, 1000)).astype(int))
     bad = [int(n) for n in samples if not aux_ineq(int(n))]
     if bad:
-        return CriterionResult(8, "monotonicity suite", False,
-                               f"auxiliary inequality fails at n={bad[0]}")
-    return CriterionResult(
-        8, "monotonicity suite", True,
+        return False, f"auxiliary inequality fails at n={bad[0]}"
+    return True, (
         f"h1/h2 decreasing for n <= 500, g for n <= 10^4, "
-        f"auxiliary inequality at {len(samples)} sampled n up to 10^6",
+        f"auxiliary inequality at {len(samples)} sampled n up to 10^6"
     )
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "tail-bound evaluators")
+def criterion_9():
     """Tail-bound evaluators: boundary values equal 1 and decrease monotonically."""
     boundary = (
         chernoff_lower(10.0, 0.0),
@@ -282,8 +293,7 @@ def criterion_9() -> CriterionResult:
         chernoff_geometric(10, 0.5, 0.0, "lower"),
     )
     if any(abs(b - 1.0) > 1e-15 for b in boundary):
-        return CriterionResult(9, "tail-bound evaluators", False,
-                               f"boundary values not 1: {boundary}")
+        return False, f"boundary values not 1: {boundary}"
     deltas = np.linspace(0.0, 1.0, 101)
     curves = [
         np.array([chernoff_lower(25.0, d) for d in deltas]),
@@ -292,13 +302,12 @@ def criterion_9() -> CriterionResult:
         np.array([chernoff_geometric(50, 0.3, d, "lower") for d in deltas[deltas < 0.75]]),
     ]
     if not all(_strictly_decreasing(c[1:]) and c[1] < c[0] for c in curves):
-        return CriterionResult(9, "tail-bound evaluators", False,
-                               "a bound is not monotone decreasing on the grid")
-    return CriterionResult(9, "tail-bound evaluators", True,
-                           "boundaries equal 1; all four bounds decrease on a 101-point grid")
+        return False, "a bound is not monotone decreasing on the grid"
+    return True, "boundaries equal 1; all four bounds decrease on a 101-point grid"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "worker-count determinism")
+def criterion_10():
     """Report bytes are identical under different worker counts."""
     configs = [
         ExperimentConfig(algorithm="rls", n_values=[6], trials=100_000, master_seed=_SEED),
@@ -312,24 +321,8 @@ def criterion_10() -> CriterionResult:
             cfg.workers = workers
             csvs.append(report_csv(run_experiment(cfg)))
         if csvs[0] != csvs[1]:
-            return CriterionResult(10, "worker-count determinism", False,
-                                   f"CSV differs for {cfg.algorithm} with 1 vs 4 workers")
-    return CriterionResult(10, "worker-count determinism", True,
-                           "byte-identical CSV for all three reference configs at 1 vs 4 workers")
-
-
-_CRITERIA: dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+            return False, f"CSV differs for {cfg.algorithm} with 1 vs 4 workers"
+    return True, "byte-identical CSV for all three reference configs at 1 vs 4 workers"
 
 
 def run_criteria(numbers: Iterable[int] | None = None) -> list[CriterionResult]:

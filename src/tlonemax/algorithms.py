@@ -114,8 +114,7 @@ class Population:
     The counts of slots in each stagnation event and the slots of each
     fitness value (its bucket) are maintained on every replacement, so the
     minimum fitness, the stagnation checks, and uniform removal among the
-    lowest-fitness pairs are all O(1) per generation.  ``validate()``
-    re-derives everything by a full scan and asserts agreement.
+    lowest-fitness pairs are all O(1) per generation.
     """
 
     def __init__(self, n: int, slots: Sequence[tuple[int, int]]):
@@ -189,23 +188,6 @@ class Population:
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """The slots as raw ``(b, value, ones)`` states, in slot order."""
         return zip(self._prev, self._value, self._ones)
-
-    def validate(self) -> None:
-        """Debug oracle: full rescan must agree with the incremental census."""
-        ei = eii = 0
-        for i in range(self.mu):
-            assert self._ones[i] == self._value[i].bit_count()
-            kind = classify(self._prev[i], self._value[i], self.n)
-            ei += kind is STAGNATED_EVENT_I
-            eii += kind is STAGNATED_EVENT_II
-        assert ei == self.event_i_count and eii == self.event_ii_count
-        # every slot sits exactly once, in the bucket of its fitness
-        assert sorted(i for bucket in self._buckets.values() for i in bucket) == list(range(self.mu))
-        for fit, bucket in self._buckets.items():
-            assert bucket
-            for i in bucket:
-                assert fitness(self._prev[i], self._ones[i], self.n) == fit
-        assert self.min_fitness == min(self._buckets)
 
 
 FirstBitPattern = tuple[int, int]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 acceptance-check failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,16 +56,17 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
+    """The ``run``/``sweep`` flags; each one stores straight into its config field."""
     sub.add_argument("--config", help="JSON config file; explicit flags override its fields")
-    sub.add_argument("--alg", choices=ALGORITHMS, help="algorithm to run")
-    sub.add_argument("--n", type=_int_list, help="comma-separated dimensions")
-    sub.add_argument("--mu", type=_int_list,
+    sub.add_argument("--alg", dest="algorithm", choices=ALGORITHMS, help="algorithm to run")
+    sub.add_argument("--n", dest="n_values", type=_int_list, help="comma-separated dimensions")
+    sub.add_argument("--mu", dest="mu_values", type=_int_list,
                      help="comma-separated population sizes (default: guaranteed size per n)")
     sub.add_argument("--delta", type=float, help="slack parameter for the guaranteed size")
     sub.add_argument("--trials", type=int, help="trials per grid point")
     sub.add_argument("--budget-mult", type=float, help="multiplier over the default budget")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--no-early-exit", action="store_true",
+    sub.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    sub.add_argument("--no-early-exit", dest="early_exit", action="store_false", default=None,
                      help="run out the budget instead of stopping at stagnation events")
     sub.add_argument("--workers", type=int, help="worker processes (default: all cores)")
     sub.add_argument("--out", help="output file (relative paths land in $TLONEMAX_OUT)")
@@ -80,19 +82,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"config: must be a JSON object, got {type(loaded).__name__} in {args.config}")
         fields.update(loaded)
-    overrides = {
-        "algorithm": args.alg,
-        "n_values": args.n,
-        "mu_values": args.mu,
-        "delta": args.delta,
-        "trials": args.trials,
-        "budget_mult": args.budget_mult,
-        "master_seed": args.seed,
-        "workers": args.workers,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if args.no_early_exit:
-        fields["early_exit"] = False
+    for field in dataclasses.fields(ExperimentConfig):
+        if (value := getattr(args, field.name)) is not None:
+            fields[field.name] = value
     try:
         config = ExperimentConfig(**fields)
     except TypeError as exc:
@@ -182,7 +174,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_markov(args: argparse.Namespace) -> int:
-    kind = MutationKind.ONE_BIT if args.kind == "one_bit" else MutationKind.BITWISE
+    kind = MutationKind(args.kind)
     solver = markov_lumped_absorption if args.lumped else markov_full_absorption
     rows = []
     for n in args.n:
@@ -239,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_markov = sub.add_parser("markov", help="absorption probability tables")
     p_markov.add_argument("--n", type=_int_list, required=True)
-    p_markov.add_argument("--kind", choices=("one_bit", "bitwise"), default="bitwise")
+    p_markov.add_argument("--kind", choices=[k.value for k in MutationKind], default="bitwise")
     p_markov.add_argument("--lumped", action="store_true",
                           help="use the reduced chain (required for n > 10)")
     p_markov.add_argument("--out")

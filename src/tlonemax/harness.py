@@ -97,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if not 0 < self.budget_mult < math.inf:
             raise ConfigError(f"budget_mult: must be finite and > 0, got {self.budget_mult}")
-        if self.delta <= 0:
-            raise ConfigError(f"delta: must be > 0, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta: must be finite and > 0, got {self.delta}")
         if self.mu_values is not None and len(self.mu_values) != len(self.n_values):
             raise ConfigError("mu_values: must match n_values in length")
         if self.mu_values is not None and any(m < 1 for m in self.mu_values):

@@ -5,12 +5,14 @@ independent brute-force enumeration), the tail-bound evaluators, the
 monotone helper functions, the probability bounds of the main results, and
 exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
-reduction.  The full chain's bitwise kernel looks up one weight per
-Hamming distance; the lumped chain's bitwise kernel convolves slices of one
-vectorised table of binomial pmfs, one row per ones-count, and is
-assembled in place.  Selection never lowers the fitness, so both chains are
-solved by back-substitution over fitness levels, from the highest down,
-with one small linear solve per level and no dense transition matrix.
+reduction.  The full chain's kernels, for both mutation kinds, look up one
+weight per Hamming distance; the lumped chain's bitwise kernel convolves
+slices of one vectorised table of binomial pmfs, one row per ones-count,
+and is assembled in place.  Both chains go through one builder, which reads
+each string class's first bit and ones-count off the class's representative
+string.  Selection never lowers the fitness, so the builder solves by
+back-substitution over fitness levels, from the highest down, with one
+small linear solve per level and no dense transition matrix.
 """
 
 from __future__ import annotations
@@ -197,36 +199,30 @@ def theorem1_bound(n: int) -> BoundValue:
 
 def theorem2_bound(n: int, mu: int, delta: float) -> BoundValue:
     """Lower bound on the success probability of the population algorithm."""
-    _check_bound_args(n, mu, delta)
-    v = (
-        1.0
-        - (mu + 2) * math.exp(-n / 8.0)
-        - math.exp(-delta * delta * (n - 1) / (2.0 * (1.0 + delta)))
-        - 2.0 * n * math.exp(-math.sqrt(n) / 20.0)
-    )
-    return BoundValue(v, v <= 0.0)
+    return _population_bound(n, mu, delta, 2.0)
 
 
 def theorem3_bound(n: int, mu: int, delta: float) -> BoundValue:
     """Lower bound on the probability of the conditioning event for the
     O(mu*n) expected-runtime statement (same shape with a 3n correction term)."""
-    _check_bound_args(n, mu, delta)
-    v = (
-        1.0
-        - (mu + 2) * math.exp(-n / 8.0)
-        - math.exp(-delta * delta * (n - 1) / (2.0 * (1.0 + delta)))
-        - 3.0 * n * math.exp(-math.sqrt(n) / 20.0)
-    )
-    return BoundValue(v, v <= 0.0)
+    return _population_bound(n, mu, delta, 3.0)
 
 
-def _check_bound_args(n: int, mu: int, delta: float) -> None:
+def _population_bound(n: int, mu: int, delta: float, coeff: float) -> BoundValue:
+    """The form Theorems 2 and 3 share: ``coeff`` is 2 or 3 in the last term."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    v = (
+        1.0
+        - (mu + 2) * math.exp(-n / 8.0)
+        - math.exp(-delta * delta * (n - 1) / (2.0 * (1.0 + delta)))
+        - coeff * n * math.exp(-math.sqrt(n) / 20.0)
+    )
+    return BoundValue(v, v <= 0.0)
 
 
 def min_population(n: int, delta: float) -> int:
@@ -237,8 +233,8 @@ def min_population(n: int, delta: float) -> int:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     return round(4.0 * (1.0 + delta) * (3.0 * _E + 1.0) * (n + 1))
 
 
@@ -265,8 +261,6 @@ class AbsorptionResult:
     under uniform random initialization.
     """
 
-    n: int
-    mutation_kind: MutationKind
     labels: np.ndarray
     p_optimum: np.ndarray
     p_event_i: np.ndarray
@@ -291,14 +285,13 @@ class AbsorptionResult:
 
 
 def _selection_chain(
-    n: int, kind: MutationKind, first: np.ndarray, ones: np.ndarray, reps: list[int],
-    M: np.ndarray, class_weights: np.ndarray,
+    n: int, reps: list[int], M: np.ndarray, class_weights: np.ndarray
 ) -> AbsorptionResult:
     """Absorption probabilities of the selection chain over C string classes.
 
     A state is a stored first bit b and a class c, at index b*C + c.  Class c
-    has first bit ``first[c]``, ones-count ``ones[c]`` and a representative
-    string ``reps[c]`` that ``classify`` labels; ``M[c]`` is the law of the
+    is represented by the string ``reps[c]``: ``classify`` labels it, and its
+    first bit and ones-count are the class's.  ``M[c]`` is the law of the
     offspring class of a class-c string, and ``class_weights`` the law of the
     class of a uniform random string.  From a transient state (b, c) the
     offspring class c' moves the chain to (first[c], c') when ``accepts``
@@ -313,6 +306,8 @@ def _selection_chain(
     level in the lumped chain).
     """
     C = len(reps)
+    first = np.array([x & 1 for x in reps])
+    ones = np.array([x.bit_count() for x in reps])
     labels = np.array(
         [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int64
     )
@@ -335,8 +330,6 @@ def _selection_chain(
         absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
-        n=n,
-        mutation_kind=kind,
         labels=labels,
         p_optimum=p_opt,
         p_event_i=p_i,
@@ -353,15 +346,15 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     xs = np.arange(size)
     ones = np.array([x.bit_count() for x in range(size)])
     ham = ones[np.bitwise_xor.outer(xs, xs)]
+    # w[h]: probability of mutating into one given string at Hamming distance h
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
         h = np.arange(n + 1)
-        M = (p**h * (1 - p) ** (n - h))[ham]
+        w = p**h * (1 - p) ** (n - h)
     else:
-        M = np.where(ham == 1, 1.0 / n, 0.0)
-    return _selection_chain(
-        n, mutation_kind, xs & 1, ones, list(range(size)), M, np.full(size, 1.0 / size)
-    )
+        w = np.zeros(n + 1)
+        w[1] = 1.0 / n
+    return _selection_chain(n, list(range(size)), w[ham], np.full(size, 1.0 / size))
 
 
 def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
@@ -407,7 +400,4 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
     kw = np.array(counts, dtype=float) / 2 ** (n - 1)
     reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
-    return _selection_chain(
-        n, mutation_kind, np.repeat([0, 1], n), np.concatenate([ks, ks + 1]), reps, M,
-        np.tile(kw, 2) / 2,
-    )
+    return _selection_chain(n, reps, M, np.tile(kw, 2) / 2)

@@ -30,6 +30,24 @@ def _slot(prev, bits):
     return (prev, sum(bit << i for i, bit in enumerate(bits)))
 
 
+def _check_census(pop):
+    """A full rescan of ``pop`` must agree with its incremental census."""
+    ei = eii = 0
+    for i in range(pop.mu):
+        assert pop._ones[i] == pop._value[i].bit_count()
+        kind = classify(pop._prev[i], pop._value[i], pop.n)
+        ei += kind is EVENT_I
+        eii += kind is EVENT_II
+    assert ei == pop.event_i_count and eii == pop.event_ii_count
+    # every slot sits exactly once, in the bucket of its fitness
+    assert sorted(i for bucket in pop._buckets.values() for i in bucket) == list(range(pop.mu))
+    for fit, bucket in pop._buckets.items():
+        assert bucket
+        for i in bucket:
+            assert fitness(pop._prev[i], pop._ones[i], pop.n) == fit
+    assert pop.min_fitness == min(pop._buckets)
+
+
 class TestAlg1Step:
     @settings(max_examples=60)
     @given(st.integers(2, 24), st.integers(0, 2**31), st.sampled_from(list(MutationKind)))
@@ -126,10 +144,10 @@ class TestPopulation:
     def test_incremental_census_matches_full_rescan(self, n, mu, seed):
         rng = RandomStream(seed)
         pop = Population.random(n, mu, rng)
-        pop.validate()
+        _check_census(pop)
         for _ in range(50):
             alg2_step(pop, rng)
-        pop.validate()
+        _check_census(pop)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.integers(1, 12), st.integers(0, 2**31))

@@ -1,10 +1,11 @@
 """Command-line entry points and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from tlonemax import harness
+from tlonemax import cli, harness
 from tlonemax.acceptance import CriterionResult
 from tlonemax.cli import main
 
@@ -97,6 +98,52 @@ class TestRunCommand:
                      "--workers", "1", "--out", "report.csv"]) == 0
         assert (tmp_path / "report.csv").exists()
 
+    def test_non_finite_delta_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"algorithm": "muea", "n_values": [6], "delta": Infinity}')
+        for argv in (["run", "--alg", "muea", "--n", "6", "--delta", "inf"],
+                     ["run", "--alg", "muea", "--n", "6", "--delta", "nan"],
+                     ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: delta: must be finite and > 0, got ")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _parsed_config(monkeypatch, argv):
+    """The ExperimentConfig that ``main(argv)`` hands to ``run_experiment``."""
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured) as exc:
+        main(argv)
+    return exc.value.args[0]
+
+
+class TestExperimentFlags:
+    def test_every_flag_lands_in_its_field(self, monkeypatch):
+        config = _parsed_config(monkeypatch, [
+            "run", "--alg", "muea", "--n", "5,7", "--mu", "3,4", "--delta", "0.5",
+            "--trials", "17", "--budget-mult", "2.5", "--seed", "11", "--no-early-exit",
+            "--workers", "2",
+        ])
+        assert dataclasses.asdict(config) == {
+            "algorithm": "muea", "n_values": [5, 7], "mu_values": [3, 4], "delta": 0.5,
+            "trials": 17, "budget_mult": 2.5, "master_seed": 11, "early_exit": False,
+            "workers": 2,
+        }
+
+    def test_early_exit_without_the_flag(self, monkeypatch, tmp_path):
+        assert _parsed_config(monkeypatch, ["run", "--alg", "rls", "--n", "5"]).early_exit
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"algorithm": "rls", "n_values": [5, 6], "early_exit": False}))
+        assert not _parsed_config(monkeypatch, ["sweep", "--config", str(config)]).early_exit
+
 
 class TestSweepCommand:
     def test_requires_multiple_n(self, capsys):
@@ -139,6 +186,12 @@ class TestTableCommands:
     def test_markov_lumped_beyond_full_limit(self, capsys):
         assert main(["markov", "--n", "40", "--lumped"]) == 0
         assert main(["markov", "--n", "40"]) == 1  # full chain refuses n > 10
+
+    def test_bounds_non_finite_delta_exits_one(self, capsys):
+        assert main(["bounds", "--n", "20", "--delta", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delta must be finite and > 0, got inf\n"
 
     def test_bounds_table(self, capsys):
         assert main(["bounds", "--n", "20"]) == 0

@@ -89,6 +89,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delta"):
             _small_config(delta=-1.0).validate()
 
+    def test_non_finite_delta(self):
+        for delta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="delta: must be finite and > 0"):
+                _small_config(algorithm="muea", delta=delta).validate()
+
     def test_field_types(self):
         bad = {
             "algorithm": [5, None],

@@ -218,6 +218,14 @@ class TestTheoremBounds:
         with pytest.raises(ValueError):
             min_population(10, 0.0)
 
+    def test_non_finite_delta_rejected(self):
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                min_population(10, delta)
+            for bound in (theorem2_bound, theorem3_bound):
+                with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                    bound(10, 5, delta)
+
 
 def _per_state_loop_chain(n, kind):
     """Absorption probabilities of the full chain, written as one loop per state.
@@ -268,7 +276,6 @@ def _per_k_pmf_lumped_chain(n):
     table-built kernel of ``markov_lumped_absorption``.
     """
     p = 1.0 / n
-    ks = np.arange(n)
     kdist = np.zeros((n, n))
     for k in range(n):
         down = stats.binom.pmf(np.arange(k + 1), k, p)
@@ -278,10 +285,7 @@ def _per_k_pmf_lumped_chain(n):
     M = np.block([[stay, flip], [flip, stay]])
     kw = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
     reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
-    return oracle._selection_chain(
-        n, MutationKind.BITWISE, np.repeat([0, 1], n), np.concatenate([ks, ks + 1]),
-        reps, M, np.tile(kw, 2) / 2,
-    )
+    return oracle._selection_chain(n, reps, M, np.tile(kw, 2) / 2)
 
 
 class TestAbsorption:
