@@ -328,6 +328,8 @@ def criterion_10():
 def run_criteria(numbers: Iterable[int] | None = None) -> list[CriterionResult]:
     """Run the selected criteria (all ten by default) in numeric order."""
     selected = sorted(_CRITERIA) if numbers is None else sorted(set(numbers))
+    if not selected:
+        raise ValueError("no criteria selected; valid numbers are 1..10")
     unknown = [k for k in selected if k not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}; valid numbers are 1..10")

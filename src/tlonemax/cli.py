@@ -40,8 +40,9 @@ from .oracle import (
 
 
 def _int_list(text: str) -> list[int]:
+    # int("") raises too, so an empty list or item fails like a non-integer
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 

@@ -4,7 +4,9 @@ Every trial draws from its own stream derived from (master seed, point
 index, trial index), and its outcome is mapped back in trial order, so the
 report bytes never depend on the worker count.  Each process keeps one
 ``RandomStream`` and re-keys it for every trial; its draws are identical to
-a fresh ``RandomStream(master_seed, key)``.
+a fresh ``RandomStream(master_seed, key)``.  ``scipy.special`` is imported
+at the first Wilson interval, not with the module, so importing the package
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Iterable
-
-from scipy import stats as _stats
 
 from .algorithms import (
     MutationKind,
@@ -174,7 +174,9 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
-    z = _stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0)
+    from scipy.special import ndtri
+
+    z = ndtri(1.0 - (1.0 - confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

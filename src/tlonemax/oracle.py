@@ -12,7 +12,9 @@ and is assembled in place.  Both chains go through one builder, which reads
 each string class's first bit and ones-count off the class's representative
 string.  Selection never lowers the fitness, so the builder solves by
 back-substitution over fitness levels, from the highest down, with one
-small linear solve per level and no dense transition matrix.
+small linear solve per level and no dense transition matrix.  ``scipy.stats``
+is imported inside the bitwise lumped chain and ``scipy.special`` inside the
+log-space helpers, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy import stats
 
 from .algorithms import MutationKind
 from .fitness import OutcomeKind, accepts, classify, fitness
@@ -372,6 +373,8 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     # law of the offspring's ones-count over positions 2..n, per current k,
     # jointly with its first bit kept (`stay`) or flipped (`flip`)
     if mutation_kind is MutationKind.BITWISE:
+        from scipy import stats
+
         p = 1.0 / n
         # pmf[m, i] = P[Bin(m, p) = i], evaluated before M is allocated so
         # that scipy's (n, n) temporaries never sit beside it

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from tlonemax import cli, harness
-from tlonemax.acceptance import CriterionResult
+import tlonemax
+from tlonemax import MutationKind, cli, harness, markov_lumped_absorption, wilson_interval
+from tlonemax.acceptance import CriterionResult, run_criteria
 from tlonemax.cli import main
 
 
@@ -187,6 +191,18 @@ class TestTableCommands:
         assert main(["markov", "--n", "40", "--lumped"]) == 0
         assert main(["markov", "--n", "40"]) == 1  # full chain refuses n > 10
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--criteria", ""], ["markov", "--n", ""], ["bounds", "--n", ""],
+        ["oracle", "--n", ","], ["bounds", "--n", "6,,8"], ["run", "--alg", "rls", "--n", "5,"],
+    ])
+    def test_empty_integer_item_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected comma-separated integers" in captured.err
+
     def test_bounds_non_finite_delta_exits_one(self, capsys):
         assert main(["bounds", "--n", "20", "--delta", "inf"]) == 1
         captured = capsys.readouterr()
@@ -215,5 +231,33 @@ class TestCheckCommand:
         assert main(["check"]) == 2
         assert "FAIL criterion 1" in capsys.readouterr().out
 
+    def test_empty_selection_raises(self):
+        with pytest.raises(ValueError, match="no criteria selected"):
+            run_criteria([])
+
     def test_unknown_criterion_exits_one(self, capsys):
         assert main(["check", "--criteria", "11"]) == 1
+
+
+_COLD_START = """
+import sys
+import tlonemax, tlonemax.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+from tlonemax import MutationKind, markov_lumped_absorption, wilson_interval
+print(repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()))
+print(repr(wilson_interval(3, 10)))
+"""
+
+
+def test_import_loads_no_scipy():
+    """scipy loads only inside the calls that need it, so a new process starts fast."""
+    src = os.path.dirname(os.path.dirname(tlonemax.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()),
+        repr(wilson_interval(3, 10)),
+    ]

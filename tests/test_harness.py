@@ -6,6 +6,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from scipy import stats
 
 from tlonemax import (
     ExperimentConfig,
@@ -59,6 +60,18 @@ class TestWilsonInterval:
         lo95, hi95 = wilson_interval(40, 100, 0.95)
         lo99, hi99 = wilson_interval(40, 100, 0.99)
         assert lo99 < lo95 and hi99 > hi95
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 1 - 1e-6])
+    def test_equals_norm_ppf_reference(self, confidence):
+        z = stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0)
+        for successes, trials in ((0, 7), (1, 3), (3, 10), (40, 100), (999, 1000), (12, 12)):
+            phat = successes / trials
+            denom = 1.0 + z * z / trials
+            center = (phat + z * z / (2 * trials)) / denom
+            half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+            lo = 0.0 if successes == 0 else max(0.0, float(center - half))
+            hi = 1.0 if successes == trials else min(1.0, float(center + half))
+            assert wilson_interval(successes, trials, confidence) == (lo, hi)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
