@@ -16,7 +16,6 @@ from .algorithms import (
     Population,
     TrialOutcome,
     alg1_step,
-    alg2_step,
     population_census,
     run_alg1,
     run_alg2,

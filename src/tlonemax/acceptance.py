@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algorithms import MutationKind, Population, alg1_step, alg2_step
+from .algorithms import MutationKind, Population, alg1_step
 from .core import RandomStream
 from .fitness import OutcomeKind, classify
 from .harness import (
@@ -234,7 +234,7 @@ def criterion_7():
         mu = 4
         pop = Population(n, [make_slot() for _ in range(mu)])
         for _ in range(steps):
-            alg2_step(pop, rng)
+            pop.step(rng)
             if getattr(pop, counter) != mu or pop.optimum_generated:
                 return False
         return True

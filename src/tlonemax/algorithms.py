@@ -2,9 +2,9 @@
 
 Selection always compares the candidate pair (parent's current first bit,
 offspring) against the incumbent with >=, so ties accept the offspring in the
-single-individual algorithm, while the population algorithm removes one
-uniformly chosen lowest-fitness pair among the mu+1 candidates with no
-secondary tie-break.
+single-individual algorithm (``alg1_step``), while the population algorithm
+(``Population.step``) removes one uniformly chosen lowest-fitness pair among
+the mu+1 candidates with no secondary tie-break.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ def run_alg1(
     """Run until the optimum, a detected stagnation event, or the budget.
 
     Stagnation events are absorbing, so with ``early_exit`` the run stops the
-    first generation an event holds; disabling it runs out the budget, which
-    the absorption-persistence tests rely on.
+    first generation an event holds; disabling it runs out the budget, as
+    ``--no-early-exit`` and the ``test_no_early_exit_never_reports_events``
+    tests of both algorithms do.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -111,7 +112,9 @@ def run_alg1(
 class Population:
     """Ordered multiset of mu ``(b, value)`` slots with an incremental census.
 
-    The counts of slots in each stagnation event and the slots of each
+    ``step`` runs one generation of the population algorithm in place.  Each
+    slot is classified once, when it enters; the counts of slots in each
+    stagnation event, the ``optimum_generated`` flag and the slots of each
     fitness value (its bucket) are maintained on every replacement, so the
     minimum fitness, the stagnation checks, and uniform removal among the
     lowest-fitness pairs are all O(1) per generation.
@@ -132,17 +135,15 @@ class Population:
         self._prev = [b for b, _ in slots]
         self._value = [value for _, value in slots]
         self._ones = [value.bit_count() for value in self._value]
+        self._kind: list[OutcomeKind | None] = [None] * self.mu
 
         self.event_i_count = 0
         self.event_ii_count = 0
+        self.optimum_generated = False
         self._buckets: dict[int, list[int]] = {}
         for i in range(self.mu):
             self._register(i)
         self.min_fitness = min(self._buckets)
-        self.optimum_generated = any(
-            classify(b, v, n) is OPTIMUM_FOUND
-            for b, v in zip(self._prev, self._value)
-        )
 
     @classmethod
     def random(cls, n: int, mu: int, rng: RandomStream) -> "Population":
@@ -156,20 +157,37 @@ class Population:
     # -- census bookkeeping -------------------------------------------------
 
     def _register(self, i: int) -> None:
-        kind = classify(self._prev[i], self._value[i], self.n)
+        """Classify the slot entering position i and add it to the census; the
+        optimum, of maximum fitness n, leaves only when every slot is the
+        optimum, so ``optimum_generated`` is never cleared."""
+        kind = self._kind[i] = classify(self._prev[i], self._value[i], self.n)
         self.event_i_count += kind is STAGNATED_EVENT_I
         self.event_ii_count += kind is STAGNATED_EVENT_II
+        self.optimum_generated |= kind is OPTIMUM_FOUND
         fit = fitness(self._prev[i], self._ones[i], self.n)
         self._buckets.setdefault(fit, []).append(i)
 
-    def replace_lowest(self, r: int, prev: int, value: int, ones: int) -> None:
-        """Overwrite the slot at position r of the lowest-fitness bucket."""
-        bucket = self._buckets[self.min_fitness]
+    def step(self, rng: RandomStream) -> None:
+        """One generation: uniform parent, bitwise offspring, >=-min acceptance,
+        then uniform removal among the lowest-fitness pairs of the mu+1."""
+        n = self.n
+        parent = rng.next_index(self.mu)
+        value, ones = mutate_value_bitwise(self._value[parent], self._ones[parent], n, rng)
+        prev = self._value[parent] & 1
+        fit = fitness(prev, ones, n)
+        low_fit = self.min_fitness
+        if fit < low_fit:
+            return
+        bucket = self._buckets[low_fit]
+        low = len(bucket)
+        k = low + (fit == low_fit)
+        r = rng.next_index(k) if k > 1 else 0
+        if r == low:
+            return  # the offspring itself was the removed lowest pair
         i = bucket[r]
-        last = bucket.pop()  # swap-remove: the last slot of the bucket takes position r
-        if r < len(bucket):
-            bucket[r] = last
-        kind = classify(self._prev[i], self._value[i], self.n)
+        bucket[r] = bucket[-1]  # swap-remove: the last slot of the bucket takes position r
+        bucket.pop()
+        kind = self._kind[i]
         self.event_i_count -= kind is STAGNATED_EVENT_I
         self.event_ii_count -= kind is STAGNATED_EVENT_II
         self._prev[i] = prev
@@ -177,11 +195,10 @@ class Population:
         self._ones[i] = ones
         self._register(i)
         if not bucket:
-            del self._buckets[self.min_fitness]
-            m = self.min_fitness
-            while m not in self._buckets:
-                m += 1
-            self.min_fitness = m
+            del self._buckets[low_fit]
+            while low_fit not in self._buckets:
+                low_fit += 1
+            self.min_fitness = low_fit
 
     # -- views ---------------------------------------------------------------
 
@@ -254,29 +271,6 @@ def population_census(pop: Population) -> CensusReport:
     )
 
 
-def alg2_step(pop: Population, rng: RandomStream) -> Population:
-    """One generation: uniform parent, bitwise offspring, >=-min acceptance,
-    then uniform removal among the lowest-fitness pairs of the mu+1.
-
-    Mutates ``pop`` in place (and returns it); a trial owns its population.
-    """
-    n = pop.n
-    i = rng.next_index(pop.mu)
-    off_value, off_ones = mutate_value_bitwise(pop._value[i], pop._ones[i], n, rng)
-    parent_first = pop._value[i] & 1
-    off_fit = fitness(parent_first, off_ones, n)
-    if off_fit >= pop.min_fitness:  # always true for the optimum, the fitness maximum
-        if classify(parent_first, off_value, n) is OPTIMUM_FOUND:
-            pop.optimum_generated = True
-        low = len(pop._buckets[pop.min_fitness])
-        k = low + (1 if off_fit == pop.min_fitness else 0)
-        r = rng.next_index(k) if k > 1 else 0
-        if r < low:
-            pop.replace_lowest(r, parent_first, off_value, off_ones)
-        # otherwise the offspring itself was the removed lowest pair
-    return pop
-
-
 def run_alg2(
     n: int,
     mu: int,
@@ -310,7 +304,7 @@ def run_alg2(
                 return TrialOutcome(STAGNATED_EVENT_I, g)
             if pop.event_ii_count == mu:
                 return TrialOutcome(STAGNATED_EVENT_II, g)
-        alg2_step(pop, rng)
+        pop.step(rng)
         if pop.optimum_generated:
             return TrialOutcome(OPTIMUM_FOUND, g)
     return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)

@@ -56,6 +56,12 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+    """``--out`` and ``--format``, shared by every subcommand that writes a table."""
+    sub.add_argument("--out", help="output file (relative paths land in $TLONEMAX_OUT)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     """The ``run``/``sweep`` flags; each one stores straight into its config field."""
     sub.add_argument("--config", help="JSON config file; explicit flags override its fields")
@@ -70,8 +76,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-early-exit", dest="early_exit", action="store_false", default=None,
                      help="run out the budget instead of stopping at stagnation events")
     sub.add_argument("--workers", type=int, help="worker processes (default: all cores)")
-    sub.add_argument("--out", help="output file (relative paths land in $TLONEMAX_OUT)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(sub)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -121,7 +126,7 @@ def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None
 def _output_report(report, args: argparse.Namespace) -> int:
     """Print or write the report; when a trial raised, say so on stderr and return 3."""
     if args.format == "json":
-        _write(json.dumps(report_json_obj(report), indent=2) + "\n", args)
+        _write(json.dumps(report_json_obj(report), indent=2, allow_nan=False) + "\n", args)
     else:
         _write(report_csv(report), args)
     if not report.errors:
@@ -226,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="conditional improvement probability tables")
     p_oracle.add_argument("--n", type=_int_list, required=True)
-    p_oracle.add_argument("--out")
-    p_oracle.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_markov = sub.add_parser("markov", help="absorption probability tables")
@@ -235,16 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov.add_argument("--kind", choices=[k.value for k in MutationKind], default="bitwise")
     p_markov.add_argument("--lumped", action="store_true",
                           help="use the reduced chain (required for n > 10)")
-    p_markov.add_argument("--out")
-    p_markov.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(p_markov)
     p_markov.set_defaults(func=_cmd_markov)
 
     p_bounds = sub.add_parser("bounds", help="theorem bound tables")
     p_bounds.add_argument("--n", type=_int_list, required=True)
     p_bounds.add_argument("--mu", type=int)
     p_bounds.add_argument("--delta", type=float, default=1e-9)
-    p_bounds.add_argument("--out")
-    p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_check = sub.add_parser("check", help="run the built-in acceptance suite")

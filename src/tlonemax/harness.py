@@ -89,6 +89,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be {type_name}, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.mu_values is not None and self.algorithm != "muea":
+            raise ConfigError(f"mu_values: only muea has a population size, got {self.mu_values} "
+                              f"for {self.algorithm}")
         if not self.n_values:
             raise ConfigError("n_values: must not be empty")
         if any(n < 2 for n in self.n_values):
@@ -306,6 +309,9 @@ def report_json_obj(report: ExperimentReport) -> dict:
         d["success_rate"] = float(_fmt(p.success_rate))
         d["wilson95_lo"] = float(_fmt(lo))
         d["wilson95_hi"] = float(_fmt(hi))
+        for key in ("cond_mean_gens", "cond_var_gens"):  # JSON has no NaN: no successes is null
+            if math.isnan(d[key]):
+                d[key] = None
         points.append(d)
     return {"config": asdict(report.config), "points": points}
 

@@ -13,7 +13,6 @@ from tlonemax import (
     RandomStream,
     TrialOutcome,
     alg1_step,
-    alg2_step,
     classify,
     population_census,
     run_alg1,
@@ -36,9 +35,12 @@ def _check_census(pop):
     for i in range(pop.mu):
         assert pop._ones[i] == pop._value[i].bit_count()
         kind = classify(pop._prev[i], pop._value[i], pop.n)
+        assert pop._kind[i] is kind  # the class stored when the slot entered
         ei += kind is EVENT_I
         eii += kind is EVENT_II
     assert ei == pop.event_i_count and eii == pop.event_ii_count
+    assert pop.optimum_generated == any(
+        classify(b, v, pop.n) is OutcomeKind.OPTIMUM_FOUND for b, v, _ in pop.pairs())
     # every slot sits exactly once, in the bucket of its fitness
     assert sorted(i for bucket in pop._buckets.values() for i in bucket) == list(range(pop.mu))
     for fit, bucket in pop._buckets.items():
@@ -146,8 +148,8 @@ class TestPopulation:
         pop = Population.random(n, mu, rng)
         _check_census(pop)
         for _ in range(50):
-            alg2_step(pop, rng)
-        _check_census(pop)
+            pop.step(rng)
+            _check_census(pop)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.integers(1, 12), st.integers(0, 2**31))
@@ -156,7 +158,8 @@ class TestPopulation:
         pop = Population.random(n, mu, rng)
         low = pop.min_fitness
         for _ in range(80):
-            alg2_step(pop, rng)
+            pop.step(rng)
+            _check_census(pop)
             assert pop.min_fitness >= low
             low = pop.min_fitness
 
@@ -164,7 +167,7 @@ class TestPopulation:
         rng = RandomStream(9)
         pop = Population.random(6, 5, rng)
         for _ in range(200):
-            alg2_step(pop, rng)
+            pop.step(rng)
         assert pop.mu == 5 and sum(1 for _ in pop.pairs()) == 5
 
     def test_empty_population_rejected(self):
@@ -220,7 +223,7 @@ class TestRunAlg2:
                     if slot_kinds in ({EVENT_I}, {EVENT_II}):
                         expected = TrialOutcome(slot_kinds.pop(), g)
                         break
-                    alg2_step(pop, rng)
+                    pop.step(rng)
                     if pop.optimum_generated:
                         expected = TrialOutcome(OutcomeKind.OPTIMUM_FOUND, g)
                         break

@@ -102,6 +102,28 @@ class TestRunCommand:
                      "--workers", "1", "--out", "report.csv"]) == 0
         assert (tmp_path / "report.csv").exists()
 
+    def test_json_report_without_successes_is_valid_json(self, capsys):
+        # no trial of this point reaches the optimum, so its conditional
+        # generation statistics are undefined: null in JSON, never NaN
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["run", "--alg", "oea", "--n", "60", "--trials", "4", "--seed", "1",
+                     "--workers", "1", "--format", "json"]) == 0
+        point = json.loads(capsys.readouterr().out, parse_constant=reject)["points"][0]
+        assert point["opt_count"] == 0
+        assert point["cond_mean_gens"] is None and point["cond_var_gens"] is None
+
+    def test_mu_for_single_individual_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"algorithm": "rls", "n_values": [6], "mu_values": [5]}))
+        for argv in (["run", "--alg", "oea", "--n", "6", "--mu", "5"],
+                     ["run", "--config", str(config)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: mu_values: ")
+
     def test_non_finite_delta_exits_one(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"algorithm": "muea", "n_values": [6], "delta": Infinity}')
@@ -186,6 +208,16 @@ class TestTableCommands:
         rows = json.loads(capsys.readouterr().out)
         states = {row["state"] for row in rows}
         assert states == {"p_optimum", "p_event_i", "p_event_ii", "p_failure"}
+
+    def test_table_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("TLONEMAX_OUT", str(out_dir))
+        monkeypatch.chdir(tmp_path)
+        assert main(["markov", "--n", "4", "--out", "rel.csv"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (out_dir / "rel.csv").read_text().startswith("n,state,value\n")
+        assert not (tmp_path / "rel.csv").exists()
 
     def test_markov_lumped_beyond_full_limit(self, capsys):
         assert main(["markov", "--n", "40", "--lumped"]) == 0
