@@ -39,12 +39,26 @@ from .oracle import (
 )
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, item=int) -> list[int]:
     # int("") raises too, so an empty list or item fails like a non-integer
     try:
-        return [int(part) for part in text.split(",")]
+        return [item(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+
+
+def _population_size(text: str) -> int:
+    # mu enters float arithmetic (the bounds' (mu + 2) e^(-n/8), the budget
+    # 100 mu n budget_mult); beyond 2**53 a float stops holding every integer,
+    # and far beyond it the conversion overflows
+    mu = int(text)
+    if mu > 2**53:
+        raise argparse.ArgumentTypeError("population size must be at most 2**53")
+    return mu
+
+
+def _mu_list(text: str) -> list[int]:
+    return _int_list(text, _population_size)
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -67,7 +81,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags override its fields")
     sub.add_argument("--alg", dest="algorithm", choices=ALGORITHMS, help="algorithm to run")
     sub.add_argument("--n", dest="n_values", type=_int_list, help="comma-separated dimensions")
-    sub.add_argument("--mu", dest="mu_values", type=_int_list,
+    sub.add_argument("--mu", dest="mu_values", type=_mu_list,
                      help="comma-separated population sizes (default: guaranteed size per n)")
     sub.add_argument("--delta", type=float, help="slack parameter for the guaranteed size")
     sub.add_argument("--trials", type=int, help="trials per grid point")
@@ -244,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="theorem bound tables")
     p_bounds.add_argument("--n", type=_int_list, required=True)
-    p_bounds.add_argument("--mu", type=int)
+    p_bounds.add_argument("--mu", type=_population_size)
     p_bounds.add_argument("--delta", type=float, default=1e-9)
     _add_output_flags(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)

@@ -12,9 +12,11 @@ and is assembled in place.  Both chains go through one builder, which reads
 each string class's first bit and ones-count off the class's representative
 string.  Selection never lowers the fitness, so the builder solves by
 back-substitution over fitness levels, from the highest down, with one
-small linear solve per level and no dense transition matrix.  ``scipy.stats``
-is imported inside the bitwise lumped chain and ``scipy.special`` inside the
-log-space helpers, so importing this module loads no scipy.
+small linear solve per level and no dense transition matrix.  ``scipy.special``
+is imported inside the log-space helpers and inside the bitwise lumped chain,
+which takes its pmf table from the binomial ufunc that ``scipy.stats.binom``
+wraps.  So importing this module loads no scipy, and no call loads
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -373,12 +375,12 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     # law of the offspring's ones-count over positions 2..n, per current k,
     # jointly with its first bit kept (`stay`) or flipped (`flip`)
     if mutation_kind is MutationKind.BITWISE:
-        from scipy import stats
+        from scipy.special._ufuncs import _binom_pmf
 
         p = 1.0 / n
-        # pmf[m, i] = P[Bin(m, p) = i], evaluated before M is allocated so
-        # that scipy's (n, n) temporaries never sit beside it
-        pmf = stats.binom.pmf(ks, ks[:, None], p)
+        # pmf[m, i] = P[Bin(m, p) = i] from the ufunc behind scipy.stats.binom.pmf;
+        # it is NaN above the support (i > m), which the loop never reads
+        pmf = _binom_pmf(ks, ks[:, None], p)
         M = np.empty((2 * n, 2 * n))
         stay, flip = M[:n, :n], M[:n, n:]
         for k in range(n):

@@ -195,6 +195,9 @@ class TestSweepCommand:
             "# scaling: scaling check needs >= 2 points with successful trials\n")
 
 
+_HUGE_MU = "1" + "0" * 400
+
+
 class TestTableCommands:
     def test_oracle_table(self, capsys):
         assert main(["oracle", "--n", "4"]) == 0
@@ -234,6 +237,24 @@ class TestTableCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "expected comma-separated integers" in captured.err
+
+    # 10**400 overflowed the float bound and budget arithmetic with a traceback
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "20", "--mu", _HUGE_MU],
+        ["run", "--alg", "muea", "--n", "6", "--mu", _HUGE_MU],
+        ["sweep", "--alg", "muea", "--n", "6,8", "--mu", f"3,{_HUGE_MU}"],
+    ])
+    def test_mu_too_large_for_a_float_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --mu: population size must be at most 2**53" in captured.err
+
+    def test_mu_at_float_limit_accepted(self, capsys):
+        assert main(["bounds", "--n", "20", "--mu", str(2**53)]) == 0
+        assert f"20,{2**53},theorem2_success_lb," in capsys.readouterr().out
 
     def test_bounds_non_finite_delta_exits_one(self, capsys):
         assert main(["bounds", "--n", "20", "--delta", "inf"]) == 1
@@ -278,12 +299,15 @@ loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 from tlonemax import MutationKind, markov_lumped_absorption, wilson_interval
 print(repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()))
+loaded = [m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+assert not loaded, loaded
 print(repr(wilson_interval(3, 10)))
 """
 
 
 def test_import_loads_no_scipy():
-    """scipy loads only inside the calls that need it, so a new process starts fast."""
+    """scipy loads only inside the calls that need it, so a new process starts fast;
+    no call loads scipy.stats."""
     src = os.path.dirname(os.path.dirname(tlonemax.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,

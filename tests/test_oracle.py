@@ -298,6 +298,19 @@ class TestAbsorption:
             assert np.array_equal(result.p_event_ii, reference.p_event_ii)
             assert np.array_equal(result.start_weights, reference.start_weights)
 
+    def test_private_binom_pmf_equals_stats_binom(self):
+        # the lumped chain calls the ufunc behind stats.binom.pmf directly;
+        # a scipy release that changes that kernel must fail here by name
+        from scipy.special._ufuncs import _binom_pmf
+
+        for n in (2, 7, 64, 400, 1000):
+            ks = np.arange(n)
+            table = _binom_pmf(ks, ks[:, None], 1.0 / n)
+            reference = stats.binom.pmf(ks, ks[:, None], 1.0 / n)
+            support = ks <= ks[:, None]
+            assert np.array_equal(table[support], reference[support]), (
+                f"scipy.special._ufuncs._binom_pmf differs from stats.binom.pmf at n={n}")
+
     def test_matches_per_state_loop(self):
         # at n=8 a fitness level holds up to 70 transient states
         for n in (2, 3, 5, 8):
