@@ -28,6 +28,7 @@ from .harness import (
     runtime_scaling_check,
 )
 from .oracle import (
+    SIZE_LIMIT,
     lemma2_exact,
     lemma2_lower_bound,
     markov_full_absorption,
@@ -47,18 +48,29 @@ def _int_list(text: str, item=int) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
-def _population_size(text: str) -> int:
-    # mu enters float arithmetic (the bounds' (mu + 2) e^(-n/8), the budget
-    # 100 mu n budget_mult); beyond 2**53 a float stops holding every integer,
-    # and far beyond it the conversion overflows
-    mu = int(text)
-    if mu > 2**53:
-        raise argparse.ArgumentTypeError("population size must be at most 2**53")
-    return mu
+def _size(what: str):
+    """The argparse type of one integer ``what`` at most ``SIZE_LIMIT``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > SIZE_LIMIT:
+            raise argparse.ArgumentTypeError(f"{what} must be at most 2**53")
+        return value
+
+    parse.__name__ = what  # argparse's "invalid <name> value" message
+    return parse
+
+
+_population_size = _size("population size")
+_dimension = _size("dimension")
 
 
 def _mu_list(text: str) -> list[int]:
     return _int_list(text, _population_size)
+
+
+def _n_list(text: str) -> list[int]:
+    return _int_list(text, _dimension)
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -257,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov.set_defaults(func=_cmd_markov)
 
     p_bounds = sub.add_parser("bounds", help="theorem bound tables")
-    p_bounds.add_argument("--n", type=_int_list, required=True)
+    p_bounds.add_argument("--n", type=_n_list, required=True)
     p_bounds.add_argument("--mu", type=_population_size)
     p_bounds.add_argument("--delta", type=float, default=1e-9)
     _add_output_flags(p_bounds)

@@ -29,7 +29,7 @@ from .algorithms import (
     run_alg2,
 )
 from .core import RandomStream
-from .oracle import min_population, theorem1_bound, theorem2_bound
+from .oracle import SIZE_LIMIT, min_population, theorem1_bound, theorem2_bound
 
 ALGORITHMS = ("rls", "oea", "muea")
 
@@ -94,8 +94,8 @@ class ExperimentConfig:
                               f"for {self.algorithm}")
         if not self.n_values:
             raise ConfigError("n_values: must not be empty")
-        if any(n < 2 for n in self.n_values):
-            raise ConfigError(f"n_values: all n must be >= 2, got {self.n_values}")
+        if not all(2 <= n <= SIZE_LIMIT for n in self.n_values):
+            raise ConfigError(f"n_values: all n must be in [2, 2**53], got {self.n_values}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if not 0 < self.budget_mult < math.inf:
@@ -104,15 +104,19 @@ class ExperimentConfig:
             raise ConfigError(f"delta: must be finite and > 0, got {self.delta}")
         if self.mu_values is not None and len(self.mu_values) != len(self.n_values):
             raise ConfigError("mu_values: must match n_values in length")
-        if self.mu_values is not None and any(m < 1 for m in self.mu_values):
-            raise ConfigError(f"mu_values: all mu must be >= 1, got {self.mu_values}")
+        if self.mu_values is not None and not all(1 <= m <= SIZE_LIMIT for m in self.mu_values):
+            raise ConfigError(f"mu_values: all mu must be in [1, 2**53], got {self.mu_values}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers: must be >= 1 (or None for all cores), got {self.workers}")
-        for n, budget in zip(self.n_values, self.budgets()):
-            if budget < 1:
+        try:
+            budgets = self._float_budgets()
+        except ValueError as exc:  # the guaranteed population size, from delta
+            raise ConfigError(f"delta: {exc}") from exc
+        for n, budget in zip(self.n_values, budgets):
+            if not 1 <= budget < math.inf:
                 raise ConfigError(
-                    f"budget_mult: {self.budget_mult} gives a budget of {budget} "
-                    f"generations at n={n}; it must be >= 1"
+                    f"budget_mult: {self.budget_mult} gives a budget of {budget:g} "
+                    f"generations at n={n}; it must be finite and >= 1"
                 )
 
     def resolved_mu(self) -> list[int]:
@@ -122,12 +126,15 @@ class ExperimentConfig:
             return list(self.mu_values)
         return [min_population(n, self.delta) for n in self.n_values]
 
+    def _float_budgets(self) -> list[float]:
+        if self.algorithm == "muea":
+            return [default_budget_alg2(n, mu) * self.budget_mult
+                    for n, mu in zip(self.n_values, self.resolved_mu())]
+        return [default_budget_alg1(n) * self.budget_mult for n in self.n_values]
+
     def budgets(self) -> list[int]:
         """Generation budget per grid point: the default budget times budget_mult."""
-        if self.algorithm == "muea":
-            return [int(default_budget_alg2(n, mu) * self.budget_mult)
-                    for n, mu in zip(self.n_values, self.resolved_mu())]
-        return [int(default_budget_alg1(n) * self.budget_mult) for n in self.n_values]
+        return [int(budget) for budget in self._float_budgets()]
 
 
 @dataclass

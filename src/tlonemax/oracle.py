@@ -11,12 +11,13 @@ slices of one vectorised table of binomial pmfs, one row per ones-count,
 and is assembled in place.  Both chains go through one builder, which reads
 each string class's first bit and ones-count off the class's representative
 string.  Selection never lowers the fitness, so the builder solves by
-back-substitution over fitness levels, from the highest down, with one
-small linear solve per level and no dense transition matrix.  ``scipy.special``
-is imported inside the log-space helpers and inside the bitwise lumped chain,
-which takes its pmf table from the binomial ufunc that ``scipy.stats.binom``
-wraps.  So importing this module loads no scipy, and no call loads
-``scipy.stats``.
+back-substitution over blocks of consecutive whole fitness levels, from the
+highest down, with one linear solve per block (of about the square root of
+the number of transient states) and no dense transition matrix.
+``scipy.special`` is imported inside the log-space helpers and inside the
+bitwise lumped chain, which takes its pmf table from the binomial ufunc that
+``scipy.stats.binom`` wraps.  So importing this module loads no scipy, and
+no call loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from .algorithms import MutationKind
 from .fitness import OutcomeKind, accepts, classify, fitness
 
 _E = math.e
+
+# n and mu enter float arithmetic (n^(1/3), (mu + 2) e^(-n/8), the budget
+# 100 mu n budget_mult); a float holds every integer only up to 2**53, and far
+# beyond it the conversion overflows
+SIZE_LIMIT = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +62,9 @@ def lemma2_exact(n: int, a: int) -> Fraction:
     if not 1 <= a <= n:
         raise ValueError(f"a must be in [1..n], got a={a}")
     q = n - 1
-    power = [q**e for e in range(n + 1)]
+    power = [1]
+    for _ in range(n):
+        power.append(power[-1] * q)
     num = 0  # terms for exactly one net new one
     den = 0  # terms for any positive gain
     inner = 0  # T_m
@@ -232,13 +240,17 @@ def min_population(n: int, delta: float) -> int:
     """Smallest population size used with the success guarantee, 4(1+delta)(3e+1)(n+1).
 
     Rounded to the nearest integer (the value is within rounding noise of an
-    integer for the deltas of interest).
+    integer for the deltas of interest).  A size above ``SIZE_LIMIT`` raises.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return round(4.0 * (1.0 + delta) * (3.0 * _E + 1.0) * (n + 1))
+    size = 4.0 * (1.0 + delta) * (3.0 * _E + 1.0) * (n + 1)
+    if not size <= SIZE_LIMIT:
+        raise ValueError(f"population size must be at most 2**53, got {size:g} "
+                         f"for n={n}, delta={delta:g}")
+    return round(size)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +313,16 @@ def _selection_chain(
     takes it; otherwise the state stays.
 
     ``accepts`` never lowers the fitness, so ordered by fitness the chain is
-    block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3).
-    The transient states are solved one fitness level at a time, from the
-    highest down: each level's right-hand side reads the absorption
-    probabilities of the states it can move to, which are absorbing or
-    already solved, and its own states enter one small solve (at most 4 per
-    level in the lumped chain).
+    block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3),
+    and so is any run of consecutive whole levels.  The transient states are
+    solved one such block at a time, from the highest fitness down: a block
+    closes at the first level boundary after it holds at least isqrt(T) of
+    the T transient states, so there are O(sqrt(T)) solves of O(sqrt(T))
+    states each where the lumped chain has 2n levels of at most 2 transient
+    states.  Each block's right-hand side reads the absorption probabilities
+    of the states it can move to outside the block, which are absorbing or
+    already solved, and its own states enter one solve.  A block never
+    splits a level: a same-level target in a later block would read as 0.
     """
     C = len(reps)
     first = np.array([x & 1 for x in reps])
@@ -314,20 +330,26 @@ def _selection_chain(
     labels = np.array(
         [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int64
     )
-    # rows of transient states stay 0 until their level is solved
+    # rows of transient states stay 0 until their block is solved
     absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
     by_first = absorbed.reshape(2, C, 3)
     trans = np.flatnonzero(labels == TRANSIENT)
     level = fitness(trans // C, ones[trans % C], n)
     order = np.argsort(-level, kind="stable")
-    for states in np.split(trans[order], np.flatnonzero(np.diff(level[order])) + 1):
+    # blocks of whole levels, each closed once it holds isqrt(T) states
+    least = math.isqrt(len(trans))
+    cuts = [0]
+    for edge in np.flatnonzero(np.diff(level[order])) + 1:
+        if edge - cuts[-1] >= least:
+            cuts.append(edge)
+    for states in np.split(trans[order], cuts[1:]):
         b, c = np.divmod(states, C)
         x1 = first[c, None]
         accept = accepts(b[:, None], ones[c, None], x1, ones, n)
         rows = M[c]
         moves = np.where(accept, rows, 0.0)
         rhs = np.where(x1 == 1, moves @ by_first[1], moves @ by_first[0])
-        # moves within the level, plus the rejected mass that stays put
+        # moves within the block, plus the rejected mass that stays put
         Q = moves[:, c] * (x1 == b)
         Q.flat[:: len(states) + 1] += np.where(accept, 0.0, rows).sum(axis=1)
         absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)

@@ -13,6 +13,8 @@ from tlonemax import MutationKind, cli, harness, markov_lumped_absorption, wilso
 from tlonemax.acceptance import CriterionResult, run_criteria
 from tlonemax.cli import main
 
+_HUGE = "1" + "0" * 400  # 10**400, far past the largest float
+
 
 class TestRunCommand:
     def test_writes_csv_report(self, tmp_path):
@@ -72,6 +74,24 @@ class TestRunCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "error: budget_mult:" in captured.err
+
+    # each of these overflowed the float budget arithmetic with a traceback
+    @pytest.mark.parametrize("argv, field", [
+        (["--alg", "oea", "--n", "6", "--budget-mult", "1e308"], "budget_mult"),
+        (["--alg", "oea", "--n", _HUGE], "n_values"),
+        (["--config", "huge_mu.json"], "mu_values"),
+    ])
+    def test_budget_too_large_for_a_float_exits_one(
+        self, argv, field, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge_mu.json").write_text(
+            f'{{"algorithm": "muea", "n_values": [6], "mu_values": [{_HUGE}]}}')
+        assert main(["run", *argv, "--trials", "3", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
+        assert "\n" not in captured.err[:-1]  # one line, no traceback
 
     def test_trial_that_raises_exits_three(self, monkeypatch, capsys):
         def run_alg1(*args):
@@ -195,9 +215,6 @@ class TestSweepCommand:
             "# scaling: scaling check needs >= 2 points with successful trials\n")
 
 
-_HUGE_MU = "1" + "0" * 400
-
-
 class TestTableCommands:
     def test_oracle_table(self, capsys):
         assert main(["oracle", "--n", "4"]) == 0
@@ -240,9 +257,9 @@ class TestTableCommands:
 
     # 10**400 overflowed the float bound and budget arithmetic with a traceback
     @pytest.mark.parametrize("argv", [
-        ["bounds", "--n", "20", "--mu", _HUGE_MU],
-        ["run", "--alg", "muea", "--n", "6", "--mu", _HUGE_MU],
-        ["sweep", "--alg", "muea", "--n", "6,8", "--mu", f"3,{_HUGE_MU}"],
+        ["bounds", "--n", "20", "--mu", _HUGE],
+        ["run", "--alg", "muea", "--n", "6", "--mu", _HUGE],
+        ["sweep", "--alg", "muea", "--n", "6,8", "--mu", f"3,{_HUGE}"],
     ])
     def test_mu_too_large_for_a_float_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,6 +272,27 @@ class TestTableCommands:
     def test_mu_at_float_limit_accepted(self, capsys):
         assert main(["bounds", "--n", "20", "--mu", str(2**53)]) == 0
         assert f"20,{2**53},theorem2_success_lb," in capsys.readouterr().out
+
+    # 10**400 overflowed theorem1_bound's n^(1/3) with a traceback
+    @pytest.mark.parametrize("n", [_HUGE, f"20,{2**53 + 1}"], ids=["10**400", "2**53+1"])
+    def test_bounds_n_too_large_for_a_float_rejected(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --n: dimension must be at most 2**53" in captured.err
+
+    def test_bounds_n_at_float_limit_accepted(self, capsys):
+        assert main(["bounds", "--n", str(2**53), "--mu", "5"]) == 0
+        assert f"{2**53},5,theorem1_failure_lb," in capsys.readouterr().out
+
+    def test_bounds_guaranteed_size_too_large_exits_one(self, capsys):
+        # the guaranteed size overflowed to inf and round(inf) raised
+        assert main(["bounds", "--n", "20", "--delta", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: population size must be at most 2**53, got inf")
 
     def test_bounds_non_finite_delta_exits_one(self, capsys):
         assert main(["bounds", "--n", "20", "--delta", "inf"]) == 1

@@ -153,6 +153,20 @@ class TestConfigValidation:
                           budget_mult=1e-3).validate()
         _small_config(algorithm="oea", n_values=[6], budget_mult=3e-4).validate()  # budget 1
 
+    def test_budget_too_large_for_a_float_rejected(self):
+        # validate passed these, and the run then sized a population of 10**302
+        # or converted an infinite budget to int
+        with pytest.raises(ConfigError, match=r"^delta: population size must be at most 2\*\*53"):
+            _small_config(algorithm="muea", n_values=[6], delta=1e300).validate()
+        with pytest.raises(ConfigError, match=r"^budget_mult: 1e\+308 gives a budget of inf "):
+            _small_config(algorithm="muea", n_values=[6], budget_mult=1e308).validate()
+        for name in ("n_values", "mu_values"):
+            config = _small_config(algorithm="muea", n_values=[6], mu_values=[5])
+            setattr(config, name, [2**53 + 1])
+            with pytest.raises(ConfigError, match=rf"^{name}: all .* must be in \[\d, 2\*\*53\]"):
+                config.validate()
+        _small_config(algorithm="muea", n_values=[6], mu_values=[2**53]).validate()
+
     def test_budgets_scale_the_defaults(self):
         assert _small_config(n_values=[5, 10], budget_mult=0.5).budgets() == [1250, 5000]
         config = _small_config(algorithm="muea", n_values=[4, 6], mu_values=[3, 7])

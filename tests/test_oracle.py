@@ -218,6 +218,12 @@ class TestTheoremBounds:
         with pytest.raises(ValueError):
             min_population(10, 0.0)
 
+    def test_min_population_above_float_limit_rejected(self):
+        assert min_population(2, 1e13) < 2**53
+        for delta in (1e15, 1e300, 1e308):
+            with pytest.raises(ValueError, match=r"population size must be at most 2\*\*53"):
+                min_population(2, delta)
+
     def test_non_finite_delta_rejected(self):
         for delta in (math.inf, math.nan):
             with pytest.raises(ValueError, match="delta must be finite and > 0"):
@@ -288,7 +294,67 @@ def _per_k_pmf_lumped_chain(n):
     return oracle._selection_chain(n, reps, M, np.tile(kw, 2) / 2)
 
 
+def _dense_lumped_chain(n, kind, monkeypatch):
+    """The lumped chain and the same chain solved as one dense system.
+
+    The reference for the block solver: it takes the kernel ``M`` that
+    ``markov_lumped_absorption`` hands to the builder, writes the acceptance
+    rule and the absorbing states out from their definitions, and makes one
+    ``np.linalg.solve`` over the whole transient system.
+    """
+    inputs = {}
+    selection_chain = oracle._selection_chain
+
+    def capture(n, reps, M, class_weights):
+        inputs.update(reps=reps, M=M)
+        return selection_chain(n, reps, M, class_weights)
+
+    monkeypatch.setattr(oracle, "_selection_chain", capture)
+    result = markov_lumped_absorption(n, kind)
+    reps, M = inputs["reps"], inputs["M"]
+    C = len(reps)
+    first = np.array([x & 1 for x in reps])
+    ones = np.array([x.bit_count() for x in reps])
+    optimum = np.array([x == (1 << n) - 1 for x in reps])
+    b, c = np.divmod(np.arange(2 * C), C)
+    targets = np.column_stack([
+        (b == 0) & optimum[c],
+        (b == 0) & (first[c] == 1) & ~optimum[c],
+        (b == 1) & optimum[c],
+    ]).astype(float)
+    trans = targets.sum(axis=1) == 0
+    # f(b, x) = ones(x) - n b; an offspring y of x is kept iff f(x1, y) >= f(b, x)
+    accept = ones - n * first[c, None] >= (ones[c] - n * b)[:, None]
+    P = np.zeros((2 * C, 2 * C))
+    P[np.arange(2 * C)[:, None], first[c, None] * C + np.arange(C)] = np.where(accept, M[c], 0.0)
+    P[np.arange(2 * C), np.arange(2 * C)] += np.where(accept, 0.0, M[c]).sum(axis=1)
+    A = np.eye(trans.sum()) - P[np.ix_(trans, trans)]
+    targets[trans] = np.linalg.solve(A, P[np.ix_(trans, ~trans)] @ targets[~trans])
+    return result, targets.T
+
+
 class TestAbsorption:
+    def test_lumped_block_solver_matches_one_dense_solve(self, monkeypatch):
+        for n in (50, 200):
+            for kind in MutationKind:
+                result, (p_opt, p_i, p_ii) = _dense_lumped_chain(n, kind, monkeypatch)
+                assert np.max(np.abs(result.p_optimum - p_opt)) < 1e-13
+                assert np.max(np.abs(result.p_event_i - p_i)) < 1e-13
+                assert np.max(np.abs(result.p_event_ii - p_ii)) < 1e-13
+
+    def test_lumped_chain_solves_in_blocks_of_levels(self, monkeypatch):
+        # one solve per fitness level would be 2n = 800 solves
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        markov_lumped_absorption(400, MutationKind.ONE_BIT)
+        assert len(calls) < 100
+
     def test_lumped_bitwise_equals_per_k_pmf_rows(self):
         for n in (2, 3, 7, 64, 400):
             result = markov_lumped_absorption(n, MutationKind.BITWISE)
