@@ -309,8 +309,9 @@ def _dense_lumped_chain(n, kind, monkeypatch):
         inputs.update(reps=reps, M=M)
         return selection_chain(n, reps, M, class_weights)
 
-    monkeypatch.setattr(oracle, "_selection_chain", capture)
-    result = markov_lumped_absorption(n, kind)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_selection_chain", capture)
+        result = markov_lumped_absorption(n, kind)
     reps, M = inputs["reps"], inputs["M"]
     C = len(reps)
     first = np.array([x & 1 for x in reps])
