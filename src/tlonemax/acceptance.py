@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import RandomStream
 from .fitness import OutcomeKind, classify
 from .harness import (
     ExperimentConfig,
+    ExperimentReport,
     report_csv,
     run_experiment,
     runtime_scaling_check,
@@ -91,17 +92,28 @@ def criterion_1():
     )
 
 
+_REFERENCE = {
+    "rls": ExperimentConfig(algorithm="rls", n_values=[6], trials=100_000, master_seed=_SEED),
+    "oea": ExperimentConfig(algorithm="oea", n_values=[6], trials=100_000, master_seed=_SEED),
+    "muea": ExperimentConfig(algorithm="muea", n_values=[20], mu_values=[769], trials=100,
+                             master_seed=_SEED),
+}
+
+
+@functools.cache
+def _reference_report(algorithm: str, workers: int) -> ExperimentReport:
+    """Run once per process; criteria 2 and 5 read it at 4 workers, criterion 10 at 1 and 4."""
+    return run_experiment(replace(_REFERENCE[algorithm], workers=workers))
+
+
 @_criterion(2, "exact chain vs Monte Carlo at n=6")
 def criterion_2():
     """Empirical failure rates at n=6 sit inside Wilson 99% of the exact chain."""
     details = []
     passed = True
     for alg, kind in (("rls", MutationKind.ONE_BIT), ("oea", MutationKind.BITWISE)):
-        predicted = markov_full_absorption(6, kind).failure_probability()
-        report = run_experiment(ExperimentConfig(
-            algorithm=alg, n_values=[6], trials=100_000, master_seed=_SEED,
-        ))
-        point = report.points[0]
+        point = _reference_report(alg, 4).points[0]
+        predicted = markov_full_absorption(point.n, kind).failure_probability()
         failures = point.event_i_count + point.event_ii_count
         lo, hi = wilson_interval(failures, point.trials, 0.99)
         ok = lo <= predicted <= hi
@@ -160,16 +172,14 @@ def criterion_4():
 @_criterion(5, "population success at n=20")
 def criterion_5():
     """The population algorithm at the guaranteed size almost always succeeds."""
-    mu = min_population(20, 1e-9)
-    if mu != 769:
-        return False, f"min_population(20, 1e-9) = {mu}, expected 769"
-    report = run_experiment(ExperimentConfig(
-        algorithm="muea", n_values=[20], mu_values=[mu], trials=100, master_seed=_SEED,
-    ))
-    rate = report.points[0].success_rate
+    point = _reference_report("muea", 4).points[0]
+    mu = min_population(point.n, 1e-9)
+    if mu != point.mu:
+        return False, f"min_population({point.n}, 1e-9) = {mu}, expected {point.mu}"
     return (
-        rate >= 0.95,
-        f"success rate {rate:.2f} with mu={mu} over 100 trials (threshold 0.95)",
+        point.success_rate >= 0.95,
+        f"success rate {point.success_rate:.2f} with mu={mu} over {point.trials} trials"
+        " (threshold 0.95)",
     )
 
 
@@ -261,13 +271,14 @@ def _strictly_decreasing(values: np.ndarray) -> bool:
 def criterion_8():
     """The three helper functions are strictly decreasing on their domains."""
     for n in range(2, 501):
-        for a in range(1, n):
-            d1 = np.arange(0, n - a)
-            if not _strictly_decreasing(h1_log(a, n, d1)):
-                return False, f"h1 not strictly decreasing at a={a}, n={n}"
-            d2 = np.arange(1, n - a + 1)
-            if not _strictly_decreasing(h2_log(a, n, d2)):
-                return False, f"h2 not strictly decreasing at a={a}, n={n}"
+        # row a holds h1 on d in [0, n-2] and h2 on [1, n-1]; its domains,
+        # [0, n-a-1] and [1, n-a], both hold its first n-a-1 steps
+        a = np.arange(1, n)[:, None]
+        values = np.stack([h1_log(a, n, np.arange(0, n - 1)), h2_log(a, n, np.arange(1, n))])
+        inside = np.arange(n - 2) < n - a - 1
+        bad = np.argwhere((inside & ~(np.diff(values, axis=2) < 0)).any(axis=2).T)
+        if len(bad):  # the first (a, helper) in the order a, then h1 before h2
+            return False, f"h{bad[0][1] + 1} not strictly decreasing at a={bad[0][0] + 1}, n={n}"
     for n in range(2, 10_001):
         amax = math.isqrt(n)
         if amax >= 2 and not _strictly_decreasing(g_log(np.arange(1, amax + 1), n)):
@@ -309,19 +320,9 @@ def criterion_9():
 @_criterion(10, "worker-count determinism")
 def criterion_10():
     """Report bytes are identical under different worker counts."""
-    configs = [
-        ExperimentConfig(algorithm="rls", n_values=[6], trials=100_000, master_seed=_SEED),
-        ExperimentConfig(algorithm="oea", n_values=[6], trials=100_000, master_seed=_SEED),
-        ExperimentConfig(algorithm="muea", n_values=[20], mu_values=[769], trials=100,
-                         master_seed=_SEED),
-    ]
-    for cfg in configs:
-        csvs = []
-        for workers in (1, 4):
-            cfg.workers = workers
-            csvs.append(report_csv(run_experiment(cfg)))
-        if csvs[0] != csvs[1]:
-            return False, f"CSV differs for {cfg.algorithm} with 1 vs 4 workers"
+    for alg in _REFERENCE:
+        if report_csv(_reference_report(alg, 1)) != report_csv(_reference_report(alg, 4)):
+            return False, f"CSV differs for {alg} with 1 vs 4 workers"
     return True, "byte-identical CSV for all three reference configs at 1 vs 4 workers"
 
 

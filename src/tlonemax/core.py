@@ -108,6 +108,7 @@ def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tu
 
     The flip count is Binomial(n, 1/n) with the flipped positions a uniform
     subset of that size, which is distribution-identical to per-bit flips.
+    ``ones`` must be ``value``'s popcount.
     """
     m = rng.next_flip_count(n, 1.0 / n)
     if m == 0:
@@ -116,4 +117,4 @@ def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tu
     for pos in rng.distinct_indices(n, m):
         mask |= 1 << pos
     new = value ^ mask
-    return new, ones + (new.bit_count() - value.bit_count())
+    return new, new.bit_count()

@@ -156,10 +156,10 @@ def chernoff_geometric(m: int, p: float, delta: float, side: str = "upper") -> f
 # Monotone helper functions
 # ---------------------------------------------------------------------------
 
-def h1_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
+def h1_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
     """log of h1 = C(a+d-1, d) / n^(d+1), strictly decreasing in d on [0, n-a-1].
 
-    Evaluated over an integer array of d; log-space avoids the rapid underflow.
+    Over an integer array of d, with one row per a for a column of a; log space avoids underflow.
     """
     from scipy.special import gammaln
 
@@ -167,7 +167,7 @@ def h1_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
     return gammaln(a + d) - gammaln(d + 1) - gammaln(a) - (d + 1) * math.log(n)
 
 
-def h2_log(a: int, n: int, d: np.ndarray) -> np.ndarray:
+def h2_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
     """log of h2 = C(a+d-1, d-1) / n^d, strictly decreasing in d on [1, n-a]."""
     from scipy.special import gammaln
 

@@ -5,12 +5,49 @@ Monte Carlo heavy (several minutes total on one core) and intentionally not
 marked slow: the gate is the point of the suite.
 """
 
-from tlonemax import acceptance
+import numpy as np
+import pytest
+
+from tlonemax import ExperimentConfig, acceptance, oracle
 
 
 def _gate(result):
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.fixture
+def tiny_reference(monkeypatch):
+    """Point the reference runs at tiny configs, with an empty report cache on both sides.
+
+    Its one test comes before criterion 2's, so in file order the clearing
+    drops none of the reports that criteria 2 and 5 leave for criterion 10.
+    """
+    tiny = {
+        "rls": ExperimentConfig(algorithm="rls", n_values=[6], trials=200, master_seed=1),
+        "oea": ExperimentConfig(algorithm="oea", n_values=[6], trials=200, master_seed=1),
+        "muea": ExperimentConfig(algorithm="muea", n_values=[20], mu_values=[769], trials=2,
+                                 master_seed=1),
+    }
+    for alg, config in tiny.items():
+        monkeypatch.setitem(acceptance._REFERENCE, alg, config)
+    acceptance._reference_report.cache_clear()
+    yield
+    acceptance._reference_report.cache_clear()
+
+
+def test_reference_runs_shared_by_criteria_2_5_10(monkeypatch, tiny_reference):
+    calls = []
+    run_experiment = acceptance.run_experiment
+
+    def counting(config):
+        calls.append((config.algorithm, config.workers))
+        return run_experiment(config)
+
+    monkeypatch.setattr(acceptance, "run_experiment", counting)
+    for criterion in (acceptance.criterion_2, acceptance.criterion_5, acceptance.criterion_10):
+        criterion()
+    assert sorted(calls) == sorted((alg, w) for alg in ("rls", "oea", "muea") for w in (1, 4))
 
 
 def test_criterion_01_conditional_probability_equivalence():
@@ -48,6 +85,27 @@ def test_criterion_07_absorption_persistence():
 
 def test_criterion_08_monotonicity_suite():
     _gate(acceptance.criterion_8())
+
+
+@pytest.mark.parametrize("name, lo", [("h1_log", 0), ("h2_log", 1)])
+def test_criterion_08_checks_exactly_each_domain(monkeypatch, name, lo):
+    # h1's domain is d in [0, n-a-1] and h2's is [1, n-a]; at a=3 the helper
+    # rises at the first d past the domain for n=9, where the criterion must
+    # pass, and at the last d inside it for n=10, where it must fail
+    real = getattr(oracle, name)
+
+    def rising(a, n, d):
+        values = np.array(real(a, n, d))
+        if n in (9, 10):
+            last = n - 3 - 1 + lo
+            a_grid, d_grid = np.broadcast_arrays(a, d)
+            values[(a_grid == 3) & (d_grid == (last + 1 if n == 9 else last))] += 10.0
+        return values
+
+    monkeypatch.setattr(acceptance, name, rising)
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert result.detail == f"{name[:2]} not strictly decreasing at a=3, n=10"
 
 
 def test_criterion_09_tail_bound_evaluators():

@@ -283,6 +283,16 @@ class TestTableCommands:
         assert captured.out == ""
         assert "error: argument --n: dimension must be at most 2**53" in captured.err
 
+    # 10**400 ran without end while its memory grew
+    @pytest.mark.parametrize("n", [_HUGE, "8,1001"], ids=["10**400", "1001"])
+    def test_oracle_n_above_cap_rejected(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --n: dimension must be at most 1000" in captured.err
+
     def test_bounds_n_at_float_limit_accepted(self, capsys):
         assert main(["bounds", "--n", str(2**53), "--mu", "5"]) == 0
         assert f"{2**53},5,theorem1_failure_lb," in capsys.readouterr().out

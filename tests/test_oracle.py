@@ -165,6 +165,16 @@ class TestMonotoneHelpers:
                 assert np.all(np.diff(v1) < 0)
                 assert np.all(np.diff(v2) < 0)
 
+    def test_column_of_a_gives_the_per_a_rows(self):
+        # the acceptance suite's criterion 8 evaluates each n over this grid
+        for n in (2, 3, 50, 377):
+            a = np.arange(1, n)[:, None]
+            rows1 = h1_log(a, n, np.arange(0, n - 1))
+            rows2 = h2_log(a, n, np.arange(1, n))
+            for k in range(1, n):
+                assert np.array_equal(rows1[k - 1, : n - k], h1_log(k, n, np.arange(0, n - k)))
+                assert np.array_equal(rows2[k - 1, : n - k], h2_log(k, n, np.arange(1, n - k + 1)))
+
     def test_g_values_and_monotonicity(self):
         assert g_log(1, 100) == pytest.approx(math.log(1.0 / 100.0), rel=1e-12)
         values = g_log(np.arange(1, 11), 100)
