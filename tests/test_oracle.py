@@ -304,14 +304,9 @@ def _per_k_pmf_lumped_chain(n):
     return oracle._selection_chain(n, reps, M, np.tile(kw, 2) / 2)
 
 
-def _dense_lumped_chain(n, kind, monkeypatch):
-    """The lumped chain and the same chain solved as one dense system.
-
-    The reference for the block solver: it takes the kernel ``M`` that
-    ``markov_lumped_absorption`` hands to the builder, writes the acceptance
-    rule and the absorbing states out from their definitions, and makes one
-    ``np.linalg.solve`` over the whole transient system.
-    """
+def _lumped_chain_inputs(n, kind, monkeypatch):
+    """The lumped chain, with the classes and the kernel ``M`` that
+    ``markov_lumped_absorption`` hands to the builder."""
     inputs = {}
     selection_chain = oracle._selection_chain
 
@@ -322,7 +317,18 @@ def _dense_lumped_chain(n, kind, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_selection_chain", capture)
         result = markov_lumped_absorption(n, kind)
-    reps, M = inputs["reps"], inputs["M"]
+    return result, inputs["reps"], inputs["M"]
+
+
+def _dense_lumped_chain(n, kind, monkeypatch):
+    """The lumped chain and the same chain solved as one dense system.
+
+    The reference for the block solver: it takes the kernel ``M`` that
+    ``markov_lumped_absorption`` hands to the builder, writes the acceptance
+    rule and the absorbing states out from their definitions, and makes one
+    ``np.linalg.solve`` over the whole transient system.
+    """
+    result, reps, M = _lumped_chain_inputs(n, kind, monkeypatch)
     C = len(reps)
     first = np.array([x & 1 for x in reps])
     ones = np.array([x.bit_count() for x in reps])
@@ -367,13 +373,32 @@ class TestAbsorption:
         assert len(calls) < 100
 
     def test_lumped_bitwise_equals_per_k_pmf_rows(self):
-        for n in (2, 3, 7, 64, 400):
+        # up to n=25 the 24-flip band drops nothing, so the chains are the same bits
+        for n in (2, 3, 7, 25):
             result = markov_lumped_absorption(n, MutationKind.BITWISE)
             reference = _per_k_pmf_lumped_chain(n)
             assert np.array_equal(result.p_optimum, reference.p_optimum)
             assert np.array_equal(result.p_event_i, reference.p_event_i)
             assert np.array_equal(result.p_event_ii, reference.p_event_ii)
             assert np.array_equal(result.start_weights, reference.start_weights)
+        # beyond it the band drops less than 2/25! per row, far below rounding
+        for n in (64, 400):
+            result = markov_lumped_absorption(n, MutationKind.BITWISE)
+            reference = _per_k_pmf_lumped_chain(n)
+            assert np.max(np.abs(result.p_optimum - reference.p_optimum)) < 1e-12
+            assert np.max(np.abs(result.p_event_i - reference.p_event_i)) < 1e-12
+            assert np.max(np.abs(result.p_event_ii - reference.p_event_ii)) < 1e-12
+            assert np.array_equal(result.start_weights, reference.start_weights)
+
+    def test_flip_band_drops_mass_below_rounding(self, monkeypatch):
+        # the bitwise kernel keeps at most 24 flips among the ones and 24 among
+        # the zeros; at n=1000 either side drops P[Bin(<= 999, 1/1000) > 24]
+        n = 1000
+        p = Fraction(1, n)
+        kept = sum(math.comb(n - 1, i) * p**i * (1 - p) ** (n - 1 - i) for i in range(25))
+        assert 1 - kept < Fraction(1, 2**64)
+        M = _lumped_chain_inputs(n, MutationKind.BITWISE, monkeypatch)[2]
+        assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-14
 
     def test_private_binom_pmf_equals_stats_binom(self):
         # the lumped chain calls the ufunc behind stats.binom.pmf directly;
