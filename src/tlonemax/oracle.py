@@ -7,16 +7,20 @@ exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
 reduction.  The full chain's kernels, for both mutation kinds, look up one
 weight per Hamming distance; the lumped chain's bitwise kernel convolves
-slices of one vectorised table of binomial pmfs, one row per ones-count,
-and is assembled in place.  The table stops at 24 flips, a band that drops
-less than 2/25! of each kernel row (nothing for n <= 25), so the lumped
-bitwise probabilities are lower bounds on the exact ones, up to rounding.
-Both chains go through one builder, which reads each string class's first
-bit and ones-count off the class's representative string.  Selection never
-lowers the fitness, so the builder solves by back-substitution over blocks
-of consecutive whole fitness levels, from the highest down, with one linear
-solve per block (of about the square root of the number of transient
-states) and no dense transition matrix.
+slices of one vectorised table of binomial pmfs, one row per ones-count.
+The table stops at 24 flips, a band that drops less than 2/25! of each
+kernel row (nothing for n <= 25), so the lumped bitwise probabilities are
+lower bounds on the exact ones, up to rounding.  Both chains go through one
+builder, which reads each string class's first bit and ones-count off the
+class's representative string, and takes the kernel as banded rows: each
+row is one run of classes from its own offset on.  The lumped chain orders
+its classes (k, x1) at index 2k + x1, so a row is a run of at most 98
+classes (6 for one-bit mutation) and no (2n)^2 kernel is built; the full
+chain's band is as wide as the chain.  Selection never lowers the fitness,
+so the builder solves by back-substitution over blocks of consecutive whole
+fitness levels, from the highest down, with one linear solve per block (of
+about the square root of the number of transient states) over the run of
+classes its rows reach, and no dense transition matrix.
 ``scipy.special`` is imported inside the log-space helpers and inside the
 bitwise lumped chain, which takes its pmf table from the binomial ufunc that
 ``scipy.stats.binom`` wraps.  So importing this module loads no scipy, and
@@ -277,15 +281,22 @@ class AbsorptionResult:
     """Absorption probabilities per start state of the selection chain.
 
     ``labels`` classifies each state (0 transient, 1 optimum, 2/3 the two
-    stagnation events).  ``start_weights`` is the probability of each state
-    under uniform random initialization.
+    stagnation events).  ``class_weights`` is the law of the string class
+    of a uniform random string, and ``start_weights`` the probability of
+    each state under uniform random initialization, whose stored first bit
+    is uniform and independent of the string.  Only the class law is held,
+    half the length of the state law.
     """
 
     labels: np.ndarray
     p_optimum: np.ndarray
     p_event_i: np.ndarray
     p_event_ii: np.ndarray
-    start_weights: np.ndarray
+    class_weights: np.ndarray
+
+    @property
+    def start_weights(self) -> np.ndarray:
+        return np.tile(self.class_weights, 2) / 2
 
     @property
     def residual(self) -> np.ndarray:
@@ -305,17 +316,19 @@ class AbsorptionResult:
 
 
 def _selection_chain(
-    n: int, reps: list[int], M: np.ndarray, class_weights: np.ndarray
+    n: int, reps: list[int], band: np.ndarray, offset: np.ndarray, class_weights: np.ndarray
 ) -> AbsorptionResult:
     """Absorption probabilities of the selection chain over C string classes.
 
     A state is a stored first bit b and a class c, at index b*C + c.  Class c
     is represented by the string ``reps[c]``: ``classify`` labels it, and its
-    first bit and ones-count are the class's.  ``M[c]`` is the law of the
-    offspring class of a class-c string, and ``class_weights`` the law of the
-    class of a uniform random string.  From a transient state (b, c) the
-    offspring class c' moves the chain to (first[c], c') when ``accepts``
-    takes it; otherwise the state stays.
+    first bit and ones-count are the class's.  The offspring law comes as
+    banded rows: ``band[c, j]`` is the probability that a class-c string's
+    offspring lies in class ``offset[c] + j``, so row c reaches the W classes
+    from ``offset[c]`` on, its own class among them.  ``class_weights`` is
+    the law of the class of a uniform random string.  From a transient state
+    (b, c) the offspring class c' moves the chain to (first[c], c') when
+    ``accepts`` takes it; otherwise the state stays.
 
     ``accepts`` never lowers the fitness, so ordered by fitness the chain is
     block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3),
@@ -324,16 +337,18 @@ def _selection_chain(
     closes at the first level boundary after it holds at least isqrt(T) of
     the T transient states, so there are O(sqrt(T)) solves of O(sqrt(T))
     states each where the lumped chain has 2n levels of at most 2 transient
-    states.  Each block's right-hand side reads the absorption probabilities
-    of the states it can move to outside the block, which are absorbing or
-    already solved, and its own states enter one solve.  A block never
-    splits a level: a same-level target in a later block would read as 0.
+    states.  A block works only on the run of classes its rows reach, and
+    reads ``band[c]`` as it is when all its rows share one offset.  Its
+    right-hand side reads the absorption probabilities of the states it can
+    move to outside the block, which are absorbing or already solved, and its
+    own states enter one solve.  A block never splits a level: a same-level
+    target in a later block would read as 0.
     """
-    C = len(reps)
+    C, W = band.shape
     first = np.array([x & 1 for x in reps])
     ones = np.array([x.bit_count() for x in reps])
     labels = np.array(
-        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int64
+        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int8
     )
     # rows of transient states stay 0 until their block is solved
     absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
@@ -350,13 +365,21 @@ def _selection_chain(
     for states in np.split(trans[order], cuts[1:]):
         b, c = np.divmod(states, C)
         x1 = first[c, None]
-        accept = accepts(b[:, None], ones[c, None], x1, ones, n)
-        rows = M[c]
+        # the run of classes [lo, hi) that the block's rows reach
+        lo, hi = offset[c].min(), offset[c].max() + W
+        if hi - lo == W:
+            rows = band[c]
+        else:
+            rows = np.zeros((len(states), hi - lo))
+            np.put_along_axis(rows, offset[c, None] - lo + np.arange(W), band[c], axis=1)
+        accept = accepts(b[:, None], ones[c, None], x1, ones[lo:hi], n)
         moves = np.where(accept, rows, 0.0)
-        rhs = np.where(x1 == 1, moves @ by_first[1], moves @ by_first[0])
+        rhs = np.where(x1 == 1, moves @ by_first[1, lo:hi], moves @ by_first[0, lo:hi])
         # moves within the block, plus the rejected mass that stays put
-        Q = moves[:, c] * (x1 == b)
-        Q.flat[:: len(states) + 1] += np.where(accept, 0.0, rows).sum(axis=1)
+        # (rows is a copy, so it can keep the rejected mass in place)
+        Q = moves[:, c - lo] * (x1 == b)
+        rows[accept] = 0.0
+        Q.flat[:: len(states) + 1] += rows.sum(axis=1)
         absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
@@ -364,18 +387,19 @@ def _selection_chain(
         p_optimum=p_opt,
         p_event_i=p_i,
         p_event_ii=p_ii,
-        start_weights=np.tile(class_weights, 2) / 2,
+        class_weights=class_weights,
     )
 
 
 def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
-    """Exact chain over all 2^(n+1) states (stored first bit, current string)."""
+    """Exact chain over all 2^(n+1) states (stored first bit, current string).
+
+    Every string can reach every other, so the kernel is one band as wide as
+    the chain, with every offset 0.
+    """
     if not 2 <= n <= 10:
         raise ValueError(f"full chain limited to 2 <= n <= 10, got {n}")
     size = 1 << n
-    xs = np.arange(size)
-    ones = np.array([x.bit_count() for x in range(size)])
-    ham = ones[np.bitwise_xor.outer(xs, xs)]
     # w[h]: probability of mutating into one given string at Hamming distance h
     if mutation_kind is MutationKind.BITWISE:
         p = 1.0 / n
@@ -384,7 +408,12 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     else:
         w = np.zeros(n + 1)
         w[1] = 1.0 / n
-    return _selection_chain(n, list(range(size)), w[ham], np.full(size, 1.0 / size))
+    xs = np.arange(size, dtype=np.uint16)
+    ones = np.array([x.bit_count() for x in range(size)], dtype=np.uint8)
+    M = w[ones[np.bitwise_xor.outer(xs, xs)]]
+    return _selection_chain(
+        n, list(range(size)), M, np.zeros(size, dtype=int), np.full(size, 1.0 / size)
+    )
 
 
 def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
@@ -392,12 +421,15 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
 
     Positions 2..n are exchangeable under both the fitness and the mutation
     operators, so a string's class is its first bit x1 and the ones-count k
-    of positions 2..n, at index x1*n + k; transition masses are exact
+    of positions 2..n, at index 2k + x1; transition masses are exact
     binomial sums.  Each class is represented by the string with first bit
     x1, then k ones, then zeros.
 
-    The bitwise kernel keeps at most 24 flips among the ones and 24 among
-    the zeros.  By the union bound, a side drops at most
+    An offspring's ones-count lies within t of k, where t = 1 for one-bit
+    mutation, so each kernel row is one run of W = 2 min(2t+1, n) classes
+    from offset 2 clip(k-t, 0, n - W/2) on, and no (2n)^2 kernel is built.
+    The bitwise kernel keeps at most t = min(24, n-1) flips among the ones
+    and as many among the zeros.  By the union bound, a side drops at most
     C(m, 25) n^-25 < 1/25! of mass, so a row loses less than 2/25!
     (about 1.3e-25, far below rounding) and nothing for n <= 25.  The dropped
     mass goes nowhere, so every row is substochastic and each absorption
@@ -405,16 +437,18 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     """
     if not 2 <= n <= 1000:
         raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
+    bitwise = mutation_kind is MutationKind.BITWISE
     ks = np.arange(n)
-    # law of the offspring's ones-count over positions 2..n, per current k,
-    # jointly with its first bit kept (`stay`) or flipped (`flip`)
-    M = np.zeros((2 * n, 2 * n))
-    stay, flip = M[:n, :n], M[:n, n:]
-    if mutation_kind is MutationKind.BITWISE:
+    t = min(24, n - 1) if bitwise else 1
+    half = min(2 * t + 1, n)
+    start = np.clip(ks - t, 0, n - half)
+    # law of the offspring's ones-count start[k] + j over positions 2..n, per
+    # current k, jointly with its first bit kept (`stay`) or flipped (`flip`)
+    stay, flip = np.zeros((2, n, half))
+    if bitwise:
         from scipy.special._ufuncs import _binom_pmf
 
         p = 1.0 / n
-        t = min(24, n - 1)
         # pmf[m, i] = P[Bin(m, p) = i] for i <= t, from the ufunc behind
         # scipy.stats.binom.pmf; it is NaN above the support (i > m), which
         # the loop never reads
@@ -422,16 +456,19 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
         for k in range(n):
             # flips among the k ones, then among the n-1-k zeros: pmf of k - i + j
             a, z = min(t, k), min(t, n - 1 - k)
-            stay[k, k - a : k + z + 1] = np.convolve(pmf[k, a::-1], pmf[n - 1 - k, : z + 1])
-        del pmf
+            j = k - a - start[k]
+            stay[k, j : j + a + z + 1] = np.convolve(pmf[k, a::-1], pmf[n - 1 - k, : z + 1])
         np.multiply(stay, p, out=flip)
         stay *= 1.0 - p
     else:
-        stay[ks[1:], ks[:-1]] = ks[1:] / n
-        stay[ks[:-1], ks[1:]] = (n - 1 - ks[:-1]) / n
-        flip[ks, ks] = 1.0 / n
-    M[n:, :n] = flip
-    M[n:, n:] = stay
+        j = ks - start
+        stay[ks[1:], j[1:] - 1] = ks[1:] / n
+        stay[ks[:-1], j[:-1] + 1] = (n - 1 - ks[:-1]) / n
+        flip[ks, j] = 1.0 / n
+    # band[k, x1, j, y1]: offspring class (start[k] + j, y1) of class (k, x1)
+    band = np.empty((n, 2, half, 2))
+    band[:, 0, :, 0] = band[:, 1, :, 1] = stay
+    band[:, 0, :, 1] = band[:, 1, :, 0] = flip
 
     # uniform initialization projects to binomial weights over k,
     # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers
@@ -439,5 +476,7 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     for k in range(n - 1):
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
     kw = np.array(counts, dtype=float) / 2 ** (n - 1)
-    reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
-    return _selection_chain(n, reps, M, np.tile(kw, 2) / 2)
+    reps = [x1 | ((1 << k) - 1) << 1 for k in range(n) for x1 in (0, 1)]
+    return _selection_chain(
+        n, reps, band.reshape(2 * n, 2 * half), np.repeat(2 * start, 2), np.repeat(kw, 2) / 2
+    )

@@ -93,6 +93,18 @@ class TestRunCommand:
         assert captured.err.startswith(f"error: {field}: ")
         assert "\n" not in captured.err[:-1]  # one line, no traceback
 
+    def test_population_above_one_gib_exits_one(self, monkeypatch, capsys):
+        def run_alg2(*args):
+            raise AssertionError("the population was allocated")
+
+        monkeypatch.setattr(harness, "run_alg2", run_alg2)
+        for argv, field in ((["--mu", "5263441"], "mu_values"), (["--delta", "1e5"], "delta")):
+            assert main(["run", "--alg", "muea", "--n", "6", *argv, "--trials", "1",
+                         "--workers", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {field}: a population of mu=")
+
     def test_trial_that_raises_exits_three(self, monkeypatch, capsys):
         def run_alg1(*args):
             raise RuntimeError("injected")
@@ -243,6 +255,28 @@ class TestTableCommands:
         assert main(["markov", "--n", "40", "--lumped"]) == 0
         assert main(["markov", "--n", "40"]) == 1  # full chain refuses n > 10
 
+    @pytest.mark.parametrize("kind, rows", [
+        ("bitwise",
+         "26,p_optimum,0.00893638575903\n26,p_event_i,0.829353430137\n"
+         "26,p_event_ii,0.161710184104\n26,p_failure,0.991063614241\n"
+         "400,p_optimum,0.00028368785868\n400,p_event_i,0.839460596852\n"
+         "400,p_event_ii,0.16025571529\n400,p_failure,0.999716312141\n"
+         "1000,p_optimum,0.000106492759124\n1000,p_event_i,0.839697192649\n"
+         "1000,p_event_ii,0.160196314591\n1000,p_failure,0.99989350724\n"),
+        ("one_bit",
+         "26,p_optimum,0.0377219006662\n26,p_event_i,0.712278099334\n"
+         "26,p_event_ii,0.25\n26,p_failure,0.962278099334\n"
+         "400,p_optimum,0.002496875\n400,p_event_i,0.747503125\n"
+         "400,p_event_ii,0.25\n400,p_failure,0.997503125\n"
+         "1000,p_optimum,0.0009995\n1000,p_event_i,0.7490005\n"
+         "1000,p_event_ii,0.25\n1000,p_failure,0.9990005\n"),
+    ])
+    def test_markov_lumped_golden_output(self, kind, rows, capsys):
+        # pinned across commits: a change of the lumped kernel or its solver
+        # may move per-state values by rounding, but not these printed digits
+        assert main(["markov", "--lumped", "--kind", kind, "--n", "26,400,1000"]) == 0
+        assert capsys.readouterr().out == "n,state,value\n" + rows
+
     @pytest.mark.parametrize("argv", [
         ["check", "--criteria", ""], ["markov", "--n", ""], ["bounds", "--n", ""],
         ["oracle", "--n", ","], ["bounds", "--n", "6,,8"], ["run", "--alg", "rls", "--n", "5,"],
@@ -345,6 +379,11 @@ import sys
 import tlonemax, tlonemax.cli
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
+from tlonemax import ExperimentConfig, run_experiment
+from tlonemax.harness import report_csv
+report_csv(run_experiment(ExperimentConfig(algorithm="rls", n_values=[5], trials=20, workers=1)))
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
 from tlonemax import MutationKind, markov_lumped_absorption, wilson_interval
 print(repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()))
 loaded = [m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
@@ -354,8 +393,8 @@ print(repr(wilson_interval(3, 10)))
 
 
 def test_import_loads_no_scipy():
-    """scipy loads only inside the calls that need it, so a new process starts fast;
-    no call loads scipy.stats."""
+    """scipy loads only inside the calls that need it, so a new process starts fast
+    and an experiment with its report loads none; no call loads scipy.stats."""
     src = os.path.dirname(os.path.dirname(tlonemax.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,

@@ -73,6 +73,12 @@ class TestWilsonInterval:
             hi = 1.0 if successes == trials else min(1.0, float(center + half))
             assert wilson_interval(successes, trials, confidence) == (lo, hi)
 
+    def test_z95_constant_equals_ndtri(self):
+        # the 95% interval takes z from a constant so that reports load no scipy
+        from scipy.special import ndtri
+
+        assert harness._Z95 == ndtri(1.0 - (1.0 - 0.95) / 2.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 0, 0.95)
@@ -166,6 +172,25 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=rf"^{name}: all .* must be in \[\d, 2\*\*53\]"):
                 config.validate()
         _small_config(algorithm="muea", n_values=[6], mu_values=[2**53]).validate()
+
+    def test_population_above_one_gib_rejected(self, monkeypatch):
+        def run_alg2(*args):
+            raise AssertionError("the population was allocated")
+
+        monkeypatch.setattr(harness, "run_alg2", run_alg2)
+        # a slot is charged 200 + 4 bytes up to n=30, so 1 GiB holds 5 263 440 of them
+        harness._check_population_memory(
+            _small_config(algorithm="muea", n_values=[6], mu_values=[5_263_440]))
+        with pytest.raises(ConfigError, match=r"^mu_values: a population of mu=5263441 at n=6 "):
+            run_experiment(_small_config(algorithm="muea", n_values=[6], mu_values=[5_263_441]))
+        # the guaranteed size is 256.3 (1 + delta) at n=6
+        with pytest.raises(ConfigError, match=r"^delta: a population of mu=25633824 at n=6 "):
+            run_experiment(_small_config(algorithm="muea", n_values=[6], delta=1e5))
+        # the criteria's largest population, the guaranteed size at n=80, is far below it
+        config = _small_config(algorithm="muea", n_values=[80])
+        assert config.resolved_mu() == [2966]
+        harness._check_population_memory(config)
+        assert 2966 * (200 + 4 * 3) < harness._POPULATION_BYTES / 1000
 
     def test_budgets_scale_the_defaults(self):
         assert _small_config(n_values=[5, 10], budget_mult=0.5).budgets() == [1250, 5000]

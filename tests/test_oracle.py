@@ -297,27 +297,34 @@ def _per_k_pmf_lumped_chain(n):
         down = stats.binom.pmf(np.arange(k + 1), k, p)
         up = stats.binom.pmf(np.arange(n - k), n - 1 - k, p)
         kdist[k] = np.convolve(down[::-1], up)
-    stay, flip = (1.0 - p) * kdist, p * kdist
-    M = np.block([[stay, flip], [flip, stay]])
+    # class (k, x1) at index 2k + x1, each row one band as wide as the chain
+    M = np.empty((n, 2, n, 2))
+    M[:, 0, :, 0] = M[:, 1, :, 1] = (1.0 - p) * kdist
+    M[:, 0, :, 1] = M[:, 1, :, 0] = p * kdist
     kw = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
-    reps = [x1 | ((1 << k) - 1) << 1 for x1 in (0, 1) for k in range(n)]
-    return oracle._selection_chain(n, reps, M, np.tile(kw, 2) / 2)
+    reps = [x1 | ((1 << k) - 1) << 1 for k in range(n) for x1 in (0, 1)]
+    return oracle._selection_chain(
+        n, reps, M.reshape(2 * n, 2 * n), np.zeros(2 * n, dtype=int), np.repeat(kw, 2) / 2
+    )
 
 
 def _lumped_chain_inputs(n, kind, monkeypatch):
     """The lumped chain, with the classes and the kernel ``M`` that
-    ``markov_lumped_absorption`` hands to the builder."""
+    ``markov_lumped_absorption`` hands to the builder, as a dense matrix."""
     inputs = {}
     selection_chain = oracle._selection_chain
 
-    def capture(n, reps, M, class_weights):
-        inputs.update(reps=reps, M=M)
-        return selection_chain(n, reps, M, class_weights)
+    def capture(n, reps, band, offset, class_weights):
+        inputs.update(reps=reps, band=band, offset=offset)
+        return selection_chain(n, reps, band, offset, class_weights)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_selection_chain", capture)
         result = markov_lumped_absorption(n, kind)
-    return result, inputs["reps"], inputs["M"]
+    band, offset = inputs["band"], inputs["offset"]
+    M = np.zeros((len(band), len(band)))
+    M[np.arange(len(band))[:, None], offset[:, None] + np.arange(band.shape[1])] = band
+    return result, inputs["reps"], M
 
 
 def _dense_lumped_chain(n, kind, monkeypatch):
@@ -481,15 +488,18 @@ class TestAbsorption:
             assert result.failure_probability() == pytest.approx(failure, abs=1e-12)
 
     def test_lumped_holds_no_dense_chain_matrix(self):
-        # a dense (4n)^2 chain at n=400 alone would take 20 MB
-        for kind in MutationKind:
-            tracemalloc.start()
-            try:
-                markov_lumped_absorption(400, kind)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2**20
+        # a dense (4n)^2 chain at n=400 alone would take 20 MB, and a dense
+        # (2n)^2 kernel at n=1000 32 MB
+        for n in (400, 1000):
+            for kind in MutationKind:
+                tracemalloc.start()
+                try:
+                    result = markov_lumped_absorption(n, kind)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * 2**20, f"n={n} {kind.value}: peak {peak / 2**20:.1f} MiB"
+                assert result.labels.itemsize == 1
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
