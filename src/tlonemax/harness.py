@@ -231,40 +231,43 @@ def _run_trial(
     return result.kind, result.generation  # a third of a TrialOutcome's pickle
 
 
-# A population may take at most this many bytes.  Per slot, the tracemalloc
-# peak of Population.random stayed below 200 bytes plus the 4 bytes per 30
-# bits of the n-bit string over n = 2..5000 (136 at n=6, 168 at 40, 330 at
-# 1000, 862 at 5000).
+# The populations of the trials that run at once may take at most this many
+# bytes.  Per slot, the tracemalloc peak of Population.random stayed below 200
+# bytes plus the 4 bytes per 30 bits of the n-bit string over n = 2..5000 (136
+# at n=6, 168 at 40, 330 at 1000, 862 at 5000).
 _POPULATION_BYTES = 2**30
 
 
-def _check_population_memory(config: ExperimentConfig) -> None:
-    """Reject a muea point whose population would take more than 1 GiB."""
+def _check_population_memory(config: ExperimentConfig, processes: int) -> None:
+    """Reject a muea point whose populations, one per process, would pass 1 GiB."""
     if config.algorithm != "muea":
         return
     name = "mu_values" if config.mu_values is not None else "delta"
     for n, mu in zip(config.n_values, config.resolved_mu()):
         size = mu * (200 + 4 * -(-n // 30))
-        if size > _POPULATION_BYTES:
+        if processes * size > _POPULATION_BYTES:
             raise ConfigError(f"{name}: a population of mu={mu} at n={n} would take about "
-                              f"{size} bytes, above the limit of 2**30 (1 GiB)")
+                              f"{size} bytes in each of {processes} process(es), above the "
+                              f"limit of 2**30 (1 GiB) in all")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all grid points; bit-identical reports for identical configs.
 
-    Besides ``validate``, a muea point is rejected when its population would
-    take more than 1 GiB.
+    Besides ``validate``, a muea point is rejected when the populations of the
+    trials that run at once, one per worker process, would take more than
+    1 GiB together.
     """
     config.validate()
-    _check_population_memory(config)
-    report = ExperimentReport(config=config)
     workers = config.workers or os.cpu_count() or 1
     chunk = math.ceil(config.trials / (4 * workers))
+    processes = min(workers, math.ceil(config.trials / chunk))
+    _check_population_memory(config, processes)
+    report = ExperimentReport(config=config)
     pool = None
-    if workers > 1 and config.trials > 1:
+    if processes > 1:
         # the fork start method launches all max_workers processes at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(workers, math.ceil(config.trials / chunk)))
+        pool = ProcessPoolExecutor(max_workers=processes)
     with pool or contextlib.nullcontext():
         map_trials = map if pool is None else functools.partial(pool.map, chunksize=chunk)
         points = zip(config.n_values, config.resolved_mu(), config.budgets())

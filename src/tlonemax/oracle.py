@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algorithms import MutationKind
 from .fitness import OutcomeKind, accepts, classify, fitness
@@ -337,8 +338,7 @@ def _selection_chain(
     closes at the first level boundary after it holds at least isqrt(T) of
     the T transient states, so there are O(sqrt(T)) solves of O(sqrt(T))
     states each where the lumped chain has 2n levels of at most 2 transient
-    states.  A block works only on the run of classes its rows reach, and
-    reads ``band[c]`` as it is when all its rows share one offset.  Its
+    states.  A block works only on the run of classes its rows reach.  Its
     right-hand side reads the absorption probabilities of the states it can
     move to outside the block, which are absorbing or already solved, and its
     own states enter one solve.  A block never splits a level: a same-level
@@ -367,11 +367,9 @@ def _selection_chain(
         x1 = first[c, None]
         # the run of classes [lo, hi) that the block's rows reach
         lo, hi = offset[c].min(), offset[c].max() + W
-        if hi - lo == W:
-            rows = band[c]
-        else:
-            rows = np.zeros((len(states), hi - lo))
-            np.put_along_axis(rows, offset[c, None] - lo + np.arange(W), band[c], axis=1)
+        rows = np.zeros((len(states), hi - lo))
+        windows = sliding_window_view(rows, W, axis=1, writeable=True)
+        windows[np.arange(len(states)), offset[c] - lo] = band[c]
         accept = accepts(b[:, None], ones[c, None], x1, ones[lo:hi], n)
         moves = np.where(accept, rows, 0.0)
         rhs = np.where(x1 == 1, moves @ by_first[1, lo:hi], moves @ by_first[0, lo:hi])

@@ -180,17 +180,35 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "run_alg2", run_alg2)
         # a slot is charged 200 + 4 bytes up to n=30, so 1 GiB holds 5 263 440 of them
         harness._check_population_memory(
-            _small_config(algorithm="muea", n_values=[6], mu_values=[5_263_440]))
+            _small_config(algorithm="muea", n_values=[6], mu_values=[5_263_440]), 1)
         with pytest.raises(ConfigError, match=r"^mu_values: a population of mu=5263441 at n=6 "):
             run_experiment(_small_config(algorithm="muea", n_values=[6], mu_values=[5_263_441]))
         # the guaranteed size is 256.3 (1 + delta) at n=6
         with pytest.raises(ConfigError, match=r"^delta: a population of mu=25633824 at n=6 "):
             run_experiment(_small_config(algorithm="muea", n_values=[6], delta=1e5))
-        # the criteria's largest population, the guaranteed size at n=80, is far below it
+        # the criteria's largest population, the guaranteed size at n=80, takes
+        # about 0.6 MB: a thousand worker processes could hold one each
         config = _small_config(algorithm="muea", n_values=[80])
         assert config.resolved_mu() == [2966]
-        harness._check_population_memory(config)
-        assert 2966 * (200 + 4 * 3) < harness._POPULATION_BYTES / 1000
+        harness._check_population_memory(config, 1000)
+
+    def test_population_cap_counts_the_worker_processes(self, monkeypatch):
+        def run_alg2(*args):
+            raise AssertionError("the population was allocated")
+
+        monkeypatch.setattr(harness, "run_alg2", run_alg2)
+        # two trials on two workers hold two populations at once
+        config = _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_721],
+                               trials=2, workers=2)
+        with pytest.raises(ConfigError, match=r"^mu_values: a population of mu=2631721 at n=6 "
+                                              r"would take about \d+ bytes in each of 2 "):
+            run_experiment(config)
+        harness._check_population_memory(
+            _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_720]), 2)
+        # one worker runs the trials one after the other, so the point runs
+        config.workers = 1
+        report = run_experiment(config)
+        assert len(report.errors) == 2 and "the population was allocated" in report.errors[0]
 
     def test_budgets_scale_the_defaults(self):
         assert _small_config(n_values=[5, 10], budget_mult=0.5).budgets() == [1250, 5000]
