@@ -191,12 +191,6 @@ class TestConfigValidation:
         config = _small_config(algorithm="muea", n_values=[80])
         assert config.resolved_mu() == [2966]
         harness._check_population_memory(config, 1000)
-
-    def test_population_cap_counts_the_worker_processes(self, monkeypatch):
-        def run_alg2(*args):
-            raise AssertionError("the population was allocated")
-
-        monkeypatch.setattr(harness, "run_alg2", run_alg2)
         # two trials on two workers hold two populations at once
         config = _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_721],
                                trials=2, workers=2)
