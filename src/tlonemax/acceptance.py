@@ -20,6 +20,7 @@ from .algorithms import MutationKind, Population, alg1_step
 from .core import RandomStream
 from .fitness import OutcomeKind, classify
 from .harness import (
+    SCALING_GATE,
     ExperimentConfig,
     ExperimentReport,
     report_csv,
@@ -200,14 +201,12 @@ def criterion_6():
     report = run_experiment(ExperimentConfig(
         algorithm="muea", n_values=[20, 40, 80], trials=50, master_seed=_SEED,
     ))
-    table = runtime_scaling_check(report)
-    ratios = [row.ratio for row in table.rows if row.ratio is not None]
-    spread = max(ratios) / min(ratios) if len(ratios) >= 2 else float("inf")
+    spread = runtime_scaling_check(report)
     detail = "; ".join(
-        f"n={row.n}: mu={row.mu} ratio={row.ratio:.3f}" for row in table.rows
-        if row.ratio is not None
-    ) + f"; spread {spread:.2f} (gate 2.0)"
-    return not table.flagged, detail
+        f"n={p.n}: mu={p.mu} ratio={p.runtime_ratio:.3f}" for p in report.points
+        if p.runtime_ratio is not None
+    ) + f"; spread {spread:.2f} (gate {SCALING_GATE})"
+    return spread <= SCALING_GATE, detail
 
 
 def _random_event_i_slot(n: int, rng: RandomStream) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from .acceptance import run_criteria
 from .algorithms import MutationKind
 from .harness import (
     ALGORITHMS,
+    SCALING_GATE,
     ConfigError,
     ExperimentConfig,
     report_csv,
@@ -136,13 +137,13 @@ def _write(text: str, args: argparse.Namespace) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None:
-    """Print or write a small table as CSV (fixed columns) or a JSON list."""
+def _emit(rows: list[dict], args: argparse.Namespace) -> None:
+    """Print or write a table of one or more rows as CSV (the first row's keys) or JSON."""
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(str(row[col]) for col in header) for row in rows]
+        header = list(rows[0])
+        lines = [",".join(header)] + [",".join(str(row[col]) for col in header) for row in rows]
         text = "\n".join(lines) + "\n"
     _write(text, args)
 
@@ -167,16 +168,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _print_scaling(report) -> None:
     """The scaling table on stderr, or the reason it is undefined for this run."""
     try:
-        table = runtime_scaling_check(report)
+        spread = runtime_scaling_check(report)
     except ValueError as exc:
         print(f"# scaling: {exc}", file=sys.stderr)
         return
     print("# scaling: n,mu,cond_mean_gens,ratio", file=sys.stderr)
-    for row in table.rows:
-        ratio = "nan" if row.ratio is None else f"{row.ratio:.6g}"
-        print(f"# {row.n},{row.mu},{row.cond_mean_gens:.6g},{ratio}", file=sys.stderr)
-    if table.flagged:
-        print("# WARNING: ratio spread exceeds factor 2", file=sys.stderr)
+    for p in report.points:
+        ratio = "nan" if p.runtime_ratio is None else f"{p.runtime_ratio:.6g}"
+        print(f"# {p.n},{p.mu},{p.cond_mean_gens:.6g},{ratio}", file=sys.stderr)
+    if spread > SCALING_GATE:
+        print(f"# WARNING: ratio spread exceeds factor {SCALING_GATE:g}", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -193,13 +194,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     rows = []
     for n in args.n:
+        if n < 2:  # n = 1 fails in lemma2_exact, but below 1 the table would be empty
+            raise ValueError(f"n must be >= 2, got {n}")
         for a in range(1, n + 1):
             rows.append({
                 "n": n, "a": a,
                 "value": f"{float(lemma2_exact(n, a)):.12g}",
                 "lower_bound": f"{lemma2_lower_bound(n, a):.12g}",
             })
-    _emit(rows, ["n", "a", "value", "lower_bound"], args)
+    _emit(rows, args)
     return 0
 
 
@@ -212,7 +215,7 @@ def _cmd_markov(args: argparse.Namespace) -> int:
         uniform = result.from_uniform()
         for state, value in [*uniform.items(), ("p_failure", result.failure_probability())]:
             rows.append({"n": n, "state": state, "value": f"{value:.12g}"})
-    _emit(rows, ["n", "state", "value"], args)
+    _emit(rows, args)
     return 0
 
 
@@ -227,7 +230,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         ):
             rows.append({"n": n, "mu": mu, "bound": name,
                          "value": f"{bound.value:.6g}", "vacuous": bound.vacuous})
-    _emit(rows, ["n", "mu", "bound", "value", "vacuous"], args)
+    _emit(rows, args)
     return 0
 
 

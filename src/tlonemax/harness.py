@@ -33,6 +33,8 @@ from .core import RandomStream
 from .oracle import SIZE_LIMIT, min_population, theorem1_bound, theorem2_bound
 
 ALGORITHMS = ("rls", "oea", "muea")
+# the largest runtime-ratio spread that still reads as O(mu*n) scaling
+SCALING_GATE = 2.0
 
 _CSV_HEADER = (
     "algorithm,n,mu,trials,opt_count,eventI_count,eventII_count,budget_count,"
@@ -163,6 +165,16 @@ class PointResult:
     @property
     def failure_rate(self) -> float:
         return (self.event_i_count + self.event_ii_count) / self.trials
+
+    @property
+    def runtime_ratio(self) -> float | None:
+        """``cond_mean_gens / (mu * n)``, or None below 2 successes or at a mean of 0.
+
+        A mean of 0 means every success came from the initial population: no climb.
+        """
+        if self.opt_count >= 2 and self.cond_mean_gens > 0:
+            return self.cond_mean_gens / (self.mu * self.n)
+        return None
 
     def wilson95(self) -> tuple[float, float]:
         return wilson_interval(self.opt_count, self.trials, 0.95)
@@ -358,34 +370,14 @@ def report_json_obj(report: ExperimentReport) -> dict:
     return {"config": asdict(report.config), "points": points}
 
 
-@dataclass
-class ScalingRow:
-    n: int
-    mu: int
-    cond_mean_gens: float
-    ratio: float | None  # mean / (mu * n); None when no successful trials
+def runtime_scaling_check(report: ExperimentReport) -> float:
+    """The spread ``max / min`` of the points' ``runtime_ratio``; O(mu*n) when small.
 
-
-@dataclass
-class ScalingTable:
-    rows: list[ScalingRow]
-    flagged: bool  # True when max ratio / min ratio exceeds 2
-
-
-def runtime_scaling_check(report: ExperimentReport) -> ScalingTable:
-    """Check that conditional mean generations grow like mu*n across the sweep."""
+    Raises ``ValueError`` below 2 points, or below 2 points with a ratio.
+    """
     if len(report.points) < 2:
         raise ValueError("scaling check needs results for at least 2 values of n")
-    rows = []
-    ratios = []
-    for p in report.points:
-        if p.opt_count >= 2 and not math.isnan(p.cond_mean_gens):
-            ratio = p.cond_mean_gens / (p.mu * p.n)
-            ratios.append(ratio)
-        else:
-            ratio = None
-        rows.append(ScalingRow(p.n, p.mu, p.cond_mean_gens, ratio))
+    ratios = [p.runtime_ratio for p in report.points if p.runtime_ratio is not None]
     if len(ratios) < 2:
         raise ValueError("scaling check needs >= 2 points with successful trials")
-    flagged = max(ratios) / min(ratios) > 2.0
-    return ScalingTable(rows=rows, flagged=flagged)
+    return max(ratios) / min(ratios)

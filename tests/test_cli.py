@@ -226,6 +226,16 @@ class TestSweepCommand:
         assert captured.err == (
             "# scaling: scaling check needs >= 2 points with successful trials\n")
 
+    def test_initial_population_successes_exit_zero(self, capsys):
+        # every trial finds the optimum in its initial population, so each
+        # point's mean is 0 and it has no ratio
+        assert main(["sweep", "--alg", "muea", "--n", "5,6", "--trials", "4",
+                     "--workers", "1"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3
+        assert captured.err == (
+            "# scaling: scaling check needs >= 2 points with successful trials\n")
+
 
 class TestTableCommands:
     def test_oracle_table(self, capsys):
@@ -234,6 +244,13 @@ class TestTableCommands:
         assert lines[0] == "n,a,value,lower_bound"
         assert len(lines) == 5  # a = 1..4
         assert lines[1].startswith("4,1,1,")  # single zero: certain single gain
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_oracle_n_below_two_exits_one(self, n, capsys):
+        assert main(["oracle", "--n", f"4,{n}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n must be >= 2, got {n}\n"
 
     def test_markov_table_json(self, capsys):
         assert main(["markov", "--n", "4", "--format", "json"]) == 0

@@ -16,7 +16,9 @@ from tlonemax import (
     wilson_interval,
 )
 from tlonemax import harness
-from tlonemax.harness import ConfigError, PointResult, report_csv, report_json_obj
+from tlonemax.harness import (
+    SCALING_GATE, ConfigError, PointResult, report_csv, report_json_obj,
+)
 
 
 _CSV_HEADER_TEXT = (
@@ -373,17 +375,16 @@ class TestScalingCheck:
             _point(n=10, mu=100, cond_mean_gens=500.0),
             _point(n=20, mu=200, cond_mean_gens=2200.0),
         ])
-        table = runtime_scaling_check(report)
-        assert not table.flagged
-        assert table.rows[0].ratio == pytest.approx(0.5)
-        assert table.rows[1].ratio == pytest.approx(0.55)
+        assert runtime_scaling_check(report) <= SCALING_GATE
+        assert report.points[0].runtime_ratio == pytest.approx(0.5)
+        assert report.points[1].runtime_ratio == pytest.approx(0.55)
 
     def test_wide_ratios_flagged(self):
         report = self._report([
             _point(n=10, mu=100, cond_mean_gens=500.0),
             _point(n=20, mu=200, cond_mean_gens=5000.0),
         ])
-        assert runtime_scaling_check(report).flagged
+        assert runtime_scaling_check(report) > SCALING_GATE
 
     def test_zero_success_point_omitted(self):
         report = self._report([
@@ -391,9 +392,22 @@ class TestScalingCheck:
             _point(n=20, mu=200, cond_mean_gens=2000.0),
             _point(n=40, mu=400, opt_count=0, cond_mean_gens=float("nan")),
         ])
-        table = runtime_scaling_check(report)
-        assert table.rows[2].ratio is None
-        assert len(table.rows) == 3
+        assert runtime_scaling_check(report) == pytest.approx(1.0)
+        assert report.points[2].runtime_ratio is None
+
+    def test_initial_population_successes_have_no_ratio(self):
+        # every success found the optimum at generation 0: a mean of 0, no climb
+        zero = _point(n=20, mu=200, opt_count=5, cond_mean_gens=0.0, cond_var_gens=0.0)
+        assert zero.runtime_ratio is None
+        report = self._report([_point(n=10, mu=100, cond_mean_gens=500.0), zero])
+        with pytest.raises(ValueError, match="successful"):
+            runtime_scaling_check(report)
+        report = self._report([
+            _point(n=10, mu=100, cond_mean_gens=500.0),
+            zero,
+            _point(n=40, mu=400, cond_mean_gens=12000.0),
+        ])
+        assert runtime_scaling_check(report) == pytest.approx(1.5)
 
     def test_too_few_successful_points_rejected(self):
         report = self._report([
