@@ -22,7 +22,6 @@ from .algorithms import (
 )
 from .oracle import (
     AbsorptionResult,
-    BoundValue,
     aux_ineq,
     chernoff_additive,
     chernoff_geometric,

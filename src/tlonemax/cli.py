@@ -229,7 +229,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             ("theorem3_event_lb", theorem3_bound(n, mu, args.delta)),
         ):
             rows.append({"n": n, "mu": mu, "bound": name,
-                         "value": f"{bound.value:.6g}", "vacuous": bound.vacuous})
+                         "value": f"{bound:.6g}", "vacuous": bound <= 0.0})
     _emit(rows, args)
     return 0
 

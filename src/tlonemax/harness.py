@@ -72,6 +72,12 @@ _FIELD_TYPES = {
     "workers": (lambda v: v is None or _is_int(v), "an integer or null"),
 }
 
+# The populations of the trials that run at once may take at most this many
+# bytes.  Per slot, the tracemalloc peak of Population.random stayed below 200
+# bytes plus the 4 bytes per 30 bits of the n-bit string over n = 2..5000 (136
+# at n=6, 168 at 40, 330 at 1000, 862 at 5000).
+_POPULATION_BYTES = 2**30
+
 
 @dataclass
 class ExperimentConfig:
@@ -86,6 +92,11 @@ class ExperimentConfig:
     workers: int | None = None  # None: one per available core
 
     def validate(self) -> None:
+        """Raise ``ConfigError``, naming the field, for any config that cannot run.
+
+        That includes a muea point whose populations, one per worker process
+        that runs trials at once, would take more than 1 GiB together.
+        """
         for name, (has_type, type_name) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not has_type(value):
@@ -99,8 +110,11 @@ class ExperimentConfig:
             raise ConfigError("n_values: must not be empty")
         if not all(2 <= n <= SIZE_LIMIT for n in self.n_values):
             raise ConfigError(f"n_values: all n must be in [2, 2**53], got {self.n_values}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        # a trial's stream key is (master_seed, point_index << 32 | trial), two 64-bit words
+        if not 1 <= self.trials <= 2**32:
+            raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed: must be in [0, 2**64), got {self.master_seed}")
         if not 0 < self.budget_mult < math.inf:
             raise ConfigError(f"budget_mult: must be finite and > 0, got {self.budget_mult}")
         if not 0 < self.delta < math.inf:
@@ -121,6 +135,22 @@ class ExperimentConfig:
                     f"budget_mult: {self.budget_mult} gives a budget of {budget:g} "
                     f"generations at n={n}; it must be finite and >= 1"
                 )
+        if self.algorithm != "muea":
+            return
+        processes = self._pool_size()[1]
+        name = "mu_values" if self.mu_values is not None else "delta"
+        for n, mu in zip(self.n_values, self.resolved_mu()):
+            size = mu * (200 + 4 * -(-n // 30))
+            if processes * size > _POPULATION_BYTES:
+                raise ConfigError(f"{name}: a population of mu={mu} at n={n} would take about "
+                                  f"{size} bytes in each of {processes} process(es), above the "
+                                  f"limit of 2**30 (1 GiB) in all")
+
+    def _pool_size(self) -> tuple[int, int]:
+        """``(chunk, processes)``: about 4 chunks per worker, and no process without a chunk."""
+        workers = self.workers or os.cpu_count() or 1
+        chunk = -(-self.trials // (4 * workers))
+        return chunk, min(workers, -(-self.trials // chunk))
 
     def resolved_mu(self) -> list[int]:
         if self.algorithm != "muea":
@@ -243,38 +273,13 @@ def _run_trial(
     return result.kind, result.generation  # a third of a TrialOutcome's pickle
 
 
-# The populations of the trials that run at once may take at most this many
-# bytes.  Per slot, the tracemalloc peak of Population.random stayed below 200
-# bytes plus the 4 bytes per 30 bits of the n-bit string over n = 2..5000 (136
-# at n=6, 168 at 40, 330 at 1000, 862 at 5000).
-_POPULATION_BYTES = 2**30
-
-
-def _check_population_memory(config: ExperimentConfig, processes: int) -> None:
-    """Reject a muea point whose populations, one per process, would pass 1 GiB."""
-    if config.algorithm != "muea":
-        return
-    name = "mu_values" if config.mu_values is not None else "delta"
-    for n, mu in zip(config.n_values, config.resolved_mu()):
-        size = mu * (200 + 4 * -(-n // 30))
-        if processes * size > _POPULATION_BYTES:
-            raise ConfigError(f"{name}: a population of mu={mu} at n={n} would take about "
-                              f"{size} bytes in each of {processes} process(es), above the "
-                              f"limit of 2**30 (1 GiB) in all")
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all grid points; bit-identical reports for identical configs.
 
-    Besides ``validate``, a muea point is rejected when the populations of the
-    trials that run at once, one per worker process, would take more than
-    1 GiB together.
+    A config that ``validate`` rejects raises its ``ConfigError`` before any trial runs.
     """
     config.validate()
-    workers = config.workers or os.cpu_count() or 1
-    chunk = math.ceil(config.trials / (4 * workers))
-    processes = min(workers, math.ceil(config.trials / chunk))
-    _check_population_memory(config, processes)
+    chunk, processes = config._pool_size()
     report = ExperimentReport(config=config)
     pool = None
     if processes > 1:
@@ -316,9 +321,9 @@ def _aggregate(
     else:
         mean = var = float("nan")
     if config.algorithm == "muea":
-        bound = theorem2_bound(n, mu, config.delta).value
+        bound = theorem2_bound(n, mu, config.delta)
     else:
-        bound = theorem1_bound(n).value
+        bound = theorem1_bound(n)
     return PointResult(
         algorithm=config.algorithm,
         n=n,

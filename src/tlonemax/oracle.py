@@ -199,37 +199,28 @@ def aux_ineq(n: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Probability bounds of the main results
+# Probability bounds of the main results, unclamped: a value <= 0 is vacuous
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class BoundValue:
-    """Unclamped bound value; ``vacuous`` marks values that carry no information."""
-
-    value: float
-    vacuous: bool
-
-
-def theorem1_bound(n: int) -> BoundValue:
+def theorem1_bound(n: int) -> float:
     """Lower bound on the failure probability of the single-individual algorithms."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    v = 1.0 - (n + 1) * math.exp(-n ** (1.0 / 3.0) / _E) - (_E + 1) / n ** (1.0 / 3.0)
-    return BoundValue(v, v <= 0.0)
+    return 1.0 - (n + 1) * math.exp(-n ** (1.0 / 3.0) / _E) - (_E + 1) / n ** (1.0 / 3.0)
 
 
-def theorem2_bound(n: int, mu: int, delta: float) -> BoundValue:
+def theorem2_bound(n: int, mu: int, delta: float) -> float:
     """Lower bound on the success probability of the population algorithm."""
     return _population_bound(n, mu, delta, 2.0)
 
 
-def theorem3_bound(n: int, mu: int, delta: float) -> BoundValue:
+def theorem3_bound(n: int, mu: int, delta: float) -> float:
     """Lower bound on the probability of the conditioning event for the
     O(mu*n) expected-runtime statement (same shape with a 3n correction term)."""
     return _population_bound(n, mu, delta, 3.0)
 
 
-def _population_bound(n: int, mu: int, delta: float, coeff: float) -> BoundValue:
+def _population_bound(n: int, mu: int, delta: float, coeff: float) -> float:
     """The form Theorems 2 and 3 share: ``coeff`` is 2 or 3 in the last term."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -237,13 +228,12 @@ def _population_bound(n: int, mu: int, delta: float, coeff: float) -> BoundValue
         raise ValueError(f"mu must be >= 1, got {mu}")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    v = (
+    return (
         1.0
         - (mu + 2) * math.exp(-n / 8.0)
         - math.exp(-delta * delta * (n - 1) / (2.0 * (1.0 + delta)))
         - coeff * n * math.exp(-math.sqrt(n) / 20.0)
     )
-    return BoundValue(v, v <= 0.0)
 
 
 def min_population(n: int, delta: float) -> int:

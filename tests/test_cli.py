@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -92,6 +93,33 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field}: ")
         assert "\n" not in captured.err[:-1]  # one line, no traceback
+
+    # 10**400 trials overflowed the float pool sizing with a traceback; the
+    # seed was taken modulo 2**64, so -1 ran the trials of 2**64 - 1
+    @pytest.mark.parametrize("argv, field", [
+        (["--trials", _HUGE], "trials"), (["--seed", "-1"], "master_seed"),
+    ])
+    def test_stream_key_out_of_range_exits_one(self, argv, field, capsys):
+        assert main(["run", "--alg", "rls", "--n", "6", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
+        assert "\n" not in captured.err[:-1]
+
+    def test_huge_worker_count_runs_one_process_per_trial(self, monkeypatch, capsys):
+        # the float chunk 2 / (4 * 10**330) was 0, and the pool sizing divided by it
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert main(["run", "--alg", "rls", "--n", "6", "--trials", "2",
+                     "--workers", "1" + "0" * 330]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("rls,6,1,2,")
+        assert sizes == [2]
 
     def test_population_above_one_gib_exits_one(self, monkeypatch, capsys):
         def run_alg2(*args):

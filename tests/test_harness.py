@@ -110,6 +110,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delta"):
             _small_config(delta=-1.0).validate()
 
+    def test_stream_key_ranges(self):
+        # trial 2**32 of point 0 would reuse the stream of trial 0 of point 1,
+        # and the seed is taken modulo 2**64
+        _small_config(trials=2**32).validate()
+        _small_config(master_seed=2**64 - 1).validate()
+        with pytest.raises(ConfigError, match=r"^trials: must be in \[1, 2\*\*32\], got 4294967297$"):
+            _small_config(trials=2**32 + 1).validate()
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"^master_seed: must be in \[0, 2\*\*64\), got "):
+                _small_config(master_seed=seed).validate()
+
     def test_non_finite_delta(self):
         for delta in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigError, match="delta: must be finite and > 0"):
@@ -173,7 +184,8 @@ class TestConfigValidation:
             setattr(config, name, [2**53 + 1])
             with pytest.raises(ConfigError, match=rf"^{name}: all .* must be in \[\d, 2\*\*53\]"):
                 config.validate()
-        _small_config(algorithm="muea", n_values=[6], mu_values=[2**53]).validate()
+        with pytest.raises(ConfigError, match=rf"^mu_values: a population of mu={2**53} at n=6 "):
+            _small_config(algorithm="muea", n_values=[6], mu_values=[2**53]).validate()
 
     def test_population_above_one_gib_rejected(self, monkeypatch):
         def run_alg2(*args):
@@ -181,8 +193,7 @@ class TestConfigValidation:
 
         monkeypatch.setattr(harness, "run_alg2", run_alg2)
         # a slot is charged 200 + 4 bytes up to n=30, so 1 GiB holds 5 263 440 of them
-        harness._check_population_memory(
-            _small_config(algorithm="muea", n_values=[6], mu_values=[5_263_440]), 1)
+        _small_config(algorithm="muea", n_values=[6], mu_values=[5_263_440]).validate()
         with pytest.raises(ConfigError, match=r"^mu_values: a population of mu=5263441 at n=6 "):
             run_experiment(_small_config(algorithm="muea", n_values=[6], mu_values=[5_263_441]))
         # the guaranteed size is 256.3 (1 + delta) at n=6
@@ -190,17 +201,17 @@ class TestConfigValidation:
             run_experiment(_small_config(algorithm="muea", n_values=[6], delta=1e5))
         # the criteria's largest population, the guaranteed size at n=80, takes
         # about 0.6 MB: a thousand worker processes could hold one each
-        config = _small_config(algorithm="muea", n_values=[80])
-        assert config.resolved_mu() == [2966]
-        harness._check_population_memory(config, 1000)
+        config = _small_config(algorithm="muea", n_values=[80], trials=1000, workers=1000)
+        assert config.resolved_mu() == [2966] and config._pool_size() == (1, 1000)
+        config.validate()
         # two trials on two workers hold two populations at once
         config = _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_721],
                                trials=2, workers=2)
         with pytest.raises(ConfigError, match=r"^mu_values: a population of mu=2631721 at n=6 "
                                               r"would take about \d+ bytes in each of 2 "):
             run_experiment(config)
-        harness._check_population_memory(
-            _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_720]), 2)
+        _small_config(algorithm="muea", n_values=[6], mu_values=[2_631_720],
+                      trials=2, workers=2).validate()
         # one worker runs the trials one after the other, so the point runs
         config.workers = 1
         report = run_experiment(config)
@@ -241,6 +252,15 @@ class TestRunExperiment:
         report = run_experiment(_small_config(n_values=[5, 7], trials=2, workers=64))
         assert sizes == [2]  # one pool for both points, one process per one-trial chunk
         assert [p.trials for p in report.points] == [2, 2]
+
+    @pytest.mark.parametrize("trials, workers, sizes", [
+        (10_000, 2, (1250, 2)), (1000, 2, (125, 2)), (6, 2, (1, 2)), (2, 2, (1, 2)),
+        (50, 2, (7, 2)), (100_000, 1, (25_000, 1)), (100_000, 4, (6250, 4)), (100, 4, (7, 4)),
+        # the float quotient 2 / (4 * 10**330) was 0, a zero chunk
+        pytest.param(2, 10**330, (1, 2), id="2-10**330-(1, 2)"),
+    ])
+    def test_pool_size_in_integers(self, trials, workers, sizes):
+        assert _small_config(trials=trials, workers=workers)._pool_size() == sizes
 
     def test_trial_that_raises_is_counted_failed(self, monkeypatch):
         real_run_alg1 = harness.run_alg1
