@@ -15,7 +15,7 @@ from .algorithms import (
     MutationKind,
     Population,
     TrialOutcome,
-    alg1_step,
+    alg1_moves,
     population_census,
     run_alg1,
     run_alg2,

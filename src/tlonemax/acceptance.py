@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algorithms import MutationKind, Population, alg1_step
+from .algorithms import MutationKind, Population, alg1_moves
 from .core import RandomStream
 from .fitness import OutcomeKind, classify
 from .harness import (
@@ -229,14 +229,10 @@ def criterion_7():
 
     def run_single(make_slot: Callable[[], tuple[int, int]]) -> bool:
         b, value = make_slot()
-        ones = value.bit_count()
         start = classify(b, value, n)
-        for _ in range(steps):
-            step = alg1_step(b, value, ones, n, MutationKind.BITWISE, rng)
-            if step is not None:
-                b, value, ones = step
-                if classify(b, value, n) is not start:
-                    return False
+        for _, b, value, _ in alg1_moves(b, value, n, MutationKind.BITWISE, rng, steps):
+            if classify(b, value, n) is not start:
+                return False
         return True
 
     def run_population(make_slot: Callable[[], tuple[int, int]], counter: str) -> bool:

@@ -2,9 +2,14 @@
 
 Selection always compares the candidate pair (parent's current first bit,
 offspring) against the incumbent with >=, so ties accept the offspring in the
-single-individual algorithm (``alg1_step``), while the population algorithm
+single-individual algorithm, while the population algorithm
 (``Population.step``) removes one uniformly chosen lowest-fitness pair among
 the mu+1 candidates with no secondary tie-break.
+
+The single-individual algorithm is one generation loop, ``alg1_moves``: it
+picks the mutation operator once per run and yields only the accepted
+states, which are the only ones whose class can change.  ``run_alg1`` and
+acceptance criterion 7 both drive it.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ class MutationKind(Enum):
     BITWISE = "bitwise"  # standard 1/n per-bit flips
 
 
-_ONE_BIT = MutationKind.ONE_BIT  # a module alias is cheaper to read per step than the member
-
-
 @dataclass(slots=True)
 class TrialOutcome:
     """Terminal classification of one run."""
@@ -50,23 +52,24 @@ def default_budget_alg2(n: int, mu: int) -> int:
     return 100 * mu * n
 
 
-def alg1_step(
-    b: int, value: int, ones: int, n: int, kind: MutationKind, rng: RandomStream
-) -> tuple[int, int, int] | None:
-    """One mutation/selection step from the state ``(b, value, ones)``.
+def alg1_moves(
+    b: int, value: int, n: int, kind: MutationKind, rng: RandomStream, generations: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Run ``generations`` generations of alg1 from the state ``(b, value)``.
 
-    The candidate pairs the current first bit with the offspring and is
-    taken under ``accepts``.  Returns the accepted ``(b, value, ones)`` or
-    None when the offspring is rejected.
+    Each generation pairs the current first bit with the offspring and takes
+    the candidate under ``accepts``.  After each accepted generation g
+    (counted from 1) the generator yields ``(g, b, value, ones)``; a
+    rejection leaves the state unchanged and yields nothing.
     """
-    if kind is _ONE_BIT:
-        off_value, off_ones = mutate_value_one_bit(value, ones, n, rng)
-    else:
-        off_value, off_ones = mutate_value_bitwise(value, ones, n, rng)
-    first = value & 1
-    if accepts(b, ones, first, off_ones, n):
-        return first, off_value, off_ones
-    return None
+    mutate = mutate_value_one_bit if kind is MutationKind.ONE_BIT else mutate_value_bitwise
+    ones = value.bit_count()
+    for g in range(1, generations + 1):
+        off_value, off_ones = mutate(value, ones, n, rng)
+        first = value & 1
+        if accepts(b, ones, first, off_ones, n):
+            b, value, ones = first, off_value, off_ones
+            yield g, b, value, ones
 
 
 def run_alg1(
@@ -81,7 +84,8 @@ def run_alg1(
     Stagnation events are absorbing, so with ``early_exit`` the run stops the
     first generation an event holds; disabling it runs out the budget, as
     ``--no-early-exit`` and the ``test_no_early_exit_never_reports_events``
-    tests of both algorithms do.
+    tests of both algorithms do.  Generation 1 is the initial state, so the
+    budget allows ``budget - 1`` mutation steps.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -94,19 +98,16 @@ def run_alg1(
 
     b = rng.random_bits(n) & 1  # only the first bit of x^0 is stored
     value = rng.random_bits(n)
-    ones = value.bit_count()
     kind = classify(b, value, n)
-    g = 1
-    while True:
-        if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
-            return TrialOutcome(kind, g)
-        if g >= budget:
-            return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
-        step = alg1_step(b, value, ones, n, mutation_kind, rng)
-        if step is not None:  # a rejection leaves the state and its class unchanged
-            b, value, ones = step
+    g = 0  # mutation steps taken
+    if kind is not OPTIMUM_FOUND and not (early_exit and kind is not None):
+        for g, b, value, _ in alg1_moves(b, value, n, mutation_kind, rng, budget - 1):
             kind = classify(b, value, n)
-        g += 1
+            if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
+                break
+        else:
+            return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
+    return TrialOutcome(kind, g + 1)
 
 
 class Population:

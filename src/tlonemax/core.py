@@ -8,8 +8,8 @@ returns the raw ``(value, ones)`` pair.
 A stream draws from one block of raw 64-bit words, filled lazily: the first
 fill is 16 words and each later fill doubles, up to 4096, so a short trial
 generates about as many words as it uses.  Uniform bits, bounded indices
-and position subsets all consume that one block; binomial flip counts come
-from a block per ``(n, rate)`` that grows the same way.
+and position-subset masks all consume that one block; binomial flip counts
+come from a block per ``(n, rate)`` that grows the same way.
 
 Building a numpy generator costs about as much as a short trial, so a
 stream can be re-keyed in place: ``rekey(seed, stream)`` resets the Philox
@@ -52,6 +52,7 @@ class RandomStream:
         self._words: list[int] = []
         self._next_fill = _FIRST_FILL
         self._flip_blocks: dict[tuple[int, float], tuple[list[int], int]] = {}
+        self._flip_n, self._flip_rate, self._flip_block = 0, 0.0, []
         return self
 
     def _refill(self) -> list[int]:
@@ -80,21 +81,25 @@ class RandomStream:
 
     def next_flip_count(self, n: int, rate: float) -> int:
         """Binomial(n, rate) draw from a block that grows like the word block."""
+        block = self._flip_block  # the block of the last (n, rate) read
+        if block and n == self._flip_n and rate == self._flip_rate:
+            return block.pop()
         key = (n, rate)
         block, next_fill = self._flip_blocks.get(key, ((), _FIRST_FILL))
         if not block:
             block = self.generator.binomial(n, rate, size=next_fill).tolist()
             block.reverse()
             self._flip_blocks[key] = (block, min(2 * next_fill, _MAX_FILL))
+        self._flip_n, self._flip_rate, self._flip_block = n, rate, block
         return block.pop()
 
-    def distinct_indices(self, n: int, m: int) -> set[int]:
-        """A uniform m-subset of [0, n) from exactly m index draws (Floyd's algorithm)."""
-        chosen: set[int] = set()
-        for j in range(n - m, n):
-            t = self.next_index(j + 1)
-            chosen.add(j if t in chosen else t)
-        return chosen
+    def subset_mask(self, n: int, m: int) -> int:
+        """A uniform m-subset of [0, n) as an n-bit mask, from exactly m index draws (Floyd)."""
+        mask = 0
+        for j in range(n - m, n):  # draw in [0, j]; a position already taken becomes j
+            bit = 1 << self.next_index(j + 1)
+            mask |= (1 << j) if mask & bit else bit
+        return mask
 
 
 def mutate_value_one_bit(value: int, ones: int, n: int, rng: RandomStream) -> tuple[int, int]:
@@ -113,8 +118,8 @@ def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tu
     m = rng.next_flip_count(n, 1.0 / n)
     if m == 0:
         return value, ones
-    mask = 0
-    for pos in rng.distinct_indices(n, m):
-        mask |= 1 << pos
-    new = value ^ mask
+    if m == 1:  # Floyd's one draw: the one-bit flip
+        bit = 1 << rng.next_index(n)
+        return value ^ bit, ones - 1 if value & bit else ones + 1
+    new = value ^ rng.subset_mask(n, m)
     return new, new.bit_count()

@@ -35,6 +35,8 @@ from .oracle import SIZE_LIMIT, min_population, theorem1_bound, theorem2_bound
 ALGORITHMS = ("rls", "oea", "muea")
 # the largest runtime-ratio spread that still reads as O(mu*n) scaling
 SCALING_GATE = 2.0
+# the most worker processes one run may start; the pool forks them all at once
+MAX_WORKERS = 1024
 
 _CSV_HEADER = (
     "algorithm,n,mu,trials,opt_count,eventI_count,eventII_count,budget_count,"
@@ -94,8 +96,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ``ConfigError``, naming the field, for any config that cannot run.
 
-        That includes a muea point whose populations, one per worker process
-        that runs trials at once, would take more than 1 GiB together.
+        That includes a pool of more than ``MAX_WORKERS`` processes, and a
+        muea point whose populations, one per worker process that runs trials
+        at once, would take more than 1 GiB together.
         """
         for name, (has_type, type_name) in _FIELD_TYPES.items():
             value = getattr(self, name)
@@ -135,9 +138,12 @@ class ExperimentConfig:
                     f"budget_mult: {self.budget_mult} gives a budget of {budget:g} "
                     f"generations at n={n}; it must be finite and >= 1"
                 )
+        processes = self._pool_size()[1]
+        if processes > MAX_WORKERS:
+            raise ConfigError(f"workers: {self.trials} trials would start {processes} worker "
+                              f"processes, above the limit of {MAX_WORKERS}")
         if self.algorithm != "muea":
             return
-        processes = self._pool_size()[1]
         name = "mu_values" if self.mu_values is not None else "delta"
         for n, mu in zip(self.n_values, self.resolved_mu()):
             size = mu * (200 + 4 * -(-n // 30))

@@ -12,14 +12,16 @@ from tlonemax import (
     Population,
     RandomStream,
     TrialOutcome,
-    alg1_step,
+    alg1_moves,
     classify,
+    mutate_value_bitwise,
+    mutate_value_one_bit,
     population_census,
     run_alg1,
     run_alg2,
 )
 from tlonemax.algorithms import default_budget_alg1, default_budget_alg2
-from tlonemax.fitness import fitness
+from tlonemax.fitness import accepts, fitness
 
 EVENT_I = OutcomeKind.STAGNATED_EVENT_I
 EVENT_II = OutcomeKind.STAGNATED_EVENT_II
@@ -50,6 +52,23 @@ def _check_census(pop):
     assert pop.min_fitness == min(pop._buckets)
 
 
+def _manual_alg1(n, kind, budget, rng):
+    """alg1 spelled out one generation at a time from the public operators."""
+    mutate = mutate_value_one_bit if kind is MutationKind.ONE_BIT else mutate_value_bitwise
+    b = rng.random_bits(n) & 1
+    value = rng.random_bits(n)
+    ones = value.bit_count()
+    generation = 1
+    while classify(b, value, n) is None:
+        if generation >= budget:
+            return OutcomeKind.BUDGET_EXHAUSTED, budget
+        off_value, off_ones = mutate(value, ones, n, rng)
+        if accepts(b, ones, value & 1, off_ones, n):
+            b, value, ones = value & 1, off_value, off_ones
+        generation += 1
+    return classify(b, value, n), generation
+
+
 class TestAlg1Step:
     @settings(max_examples=60)
     @given(st.integers(2, 24), st.integers(0, 2**31), st.sampled_from(list(MutationKind)))
@@ -58,51 +77,48 @@ class TestAlg1Step:
         b = rng.random_bits(n) & 1
         value = rng.random_bits(n)
         ones = value.bit_count()
-        for _ in range(60):
-            step = alg1_step(b, value, ones, n, kind, rng)
-            if step is not None:
-                assert fitness(step[0], step[2], n) >= fitness(b, ones, n)
-                assert step[0] == value & 1  # the old current first bit is stored
-                b, value, ones = step
+        last = 0
+        for g, new_b, new_value, new_ones in alg1_moves(b, value, n, kind, rng, 60):
+            assert last < g <= 60
+            assert fitness(new_b, new_ones, n) >= fitness(b, ones, n)
+            assert new_b == value & 1  # the old current first bit is stored
+            assert new_ones == new_value.bit_count()
+            last, b, value, ones = g, new_b, new_value, new_ones
 
     def test_tie_accepts_offspring(self):
         # from (0, 011) an offspring with equal fitness (two flips trading a
         # one for a zero) must be accepted: the current string changes while
         # the ones-count stays put
-        n, start = 3, (0, 0b110, 2)
+        n, start = 3, 0b110
         rng = RandomStream(11)
-        state = start
-        seen_tie_move = False
-        for _ in range(300):
-            step = alg1_step(*state, n, MutationKind.BITWISE, rng)
-            if step is None:
-                continue
-            if step[2] == 3:  # improved away; restart the experiment
-                state = start
-            elif step[1] != state[1] and step[2] == 2:
-                seen_tie_move = True
-                break
-            else:
-                state = step
-        assert seen_tie_move
+
+        def tie_move_seen(generations):
+            while generations > 0:
+                for g, _, value, ones in alg1_moves(0, start, n, MutationKind.BITWISE, rng,
+                                                    generations):
+                    if ones == 3:  # improved away; restart the experiment
+                        break
+                    if value != start:
+                        return True
+                else:
+                    return False
+                generations -= g
+            return False
+
+        assert tie_move_seen(300)
 
     def test_run_matches_manual_replay(self):
-        # run_alg1 consumes its stream exactly like two initial strings + steps
+        # run_alg1 consumes its stream exactly like two initial strings plus
+        # one mutation per generation, and stops at the same generation
         n = 6
-        for seed in range(10):
-            outcome = run_alg1(n, MutationKind.BITWISE, rng=RandomStream(seed))
-            rng = RandomStream(seed)
-            b = rng.random_bits(n) & 1
-            value = rng.random_bits(n)
-            ones = value.bit_count()
-            generation = 1
-            while classify(b, value, n) is None:
-                step = alg1_step(b, value, ones, n, MutationKind.BITWISE, rng)
-                if step is not None:
-                    b, value, ones = step
-                generation += 1
-            assert classify(b, value, n) == outcome.kind
-            assert generation == outcome.generation
+        for kind in MutationKind:
+            for budget in (3, None):
+                for seed in range(10):
+                    rng, manual = RandomStream(seed), RandomStream(seed)
+                    outcome = run_alg1(n, kind, budget, rng)
+                    want = _manual_alg1(n, kind, budget or default_budget_alg1(n), manual)
+                    assert (outcome.kind, outcome.generation) == want
+                    assert rng.random_bits(64) == manual.random_bits(64)
 
 
 class TestRunAlg1:

@@ -68,6 +68,16 @@ class TestRunCommand:
                          "--workers", workers]) == 1
             assert "error: workers:" in capsys.readouterr().err
 
+    def test_process_count_above_cap_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # no process may start
+        for command in ("run", "sweep"):
+            assert main([command, "--alg", "rls", "--n", "4", "--trials", "5000",
+                         "--workers", "5000"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("error: workers: 5000 trials would start 5000 worker processes, "
+                    "above the limit of 1024") in captured.err
+
     def test_budget_below_one_exits_one(self, capsys):
         for alg in ("oea", "muea"):
             assert main(["run", "--alg", alg, "--n", "6", "--trials", "10",

@@ -40,7 +40,20 @@ class _FillSizes:
 def draws(rng):
     """Every consumer of a stream in turn, 3000 times over."""
     return [(rng.random_bits(130), rng.next_index(769), rng.next_flip_count(40, 1 / 40),
-             sorted(rng.distinct_indices(40, 5))) for _ in range(3000)]
+             rng.subset_mask(40, 5)) for _ in range(3000)]
+
+
+def _floyd_reference(rng, n, m):
+    """Floyd's m-subset of [0, n) as a set of positions, drawn as the package draws it."""
+    chosen = set()
+    for j in range(n - m, n):
+        t = rng.next_index(j + 1)
+        chosen.add(j if t in chosen else t)
+    return chosen
+
+
+def _mask(positions):
+    return sum(1 << p for p in positions)
 
 
 class TestRandomStream:
@@ -65,9 +78,9 @@ class TestRandomStream:
     def test_distinct_indices_are_distinct(self):
         rng = RandomStream(1)
         for m in (1, 2, 3, 7):
-            idx = list(rng.distinct_indices(10, m))
-            assert len(set(idx)) == m
-            assert all(0 <= i < 10 for i in idx)
+            mask = rng.subset_mask(10, m)
+            assert mask.bit_count() == m  # m distinct positions
+            assert mask >> 10 == 0  # all in [0, 10)
 
     def test_random_bits_masked_to_width(self):
         rng = RandomStream(5)
@@ -97,14 +110,24 @@ class TestSampler:
     def test_floyd_subsets_uniform(self):
         draws = 20_000
         rng = RandomStream(73)
-        counts = Counter(frozenset(rng.distinct_indices(5, 2)) for _ in range(draws))
-        assert set(counts) == {frozenset(c) for c in combinations(range(5), 2)}
+        counts = Counter(rng.subset_mask(5, 2) for _ in range(draws))
+        assert set(counts) == {_mask(c) for c in combinations(range(5), 2)}
         assert _chi_square(list(counts.values()), draws / 10) < chi2.isf(_ALPHA, 9)
 
     def test_full_subset_is_every_position(self):
         rng = RandomStream(74)
         for n in (1, 2, 7, 64, 200):
-            assert rng.distinct_indices(n, n) == set(range(n))
+            assert rng.subset_mask(n, n) == (1 << n) - 1
+
+    def test_subset_mask_is_floyds_set(self):
+        # the mask holds exactly the positions of the set-based algorithm, from
+        # the same draws: the next draw of both streams agrees after each call
+        for seed in range(4):
+            a, b = RandomStream(78, seed), RandomStream(78, seed)
+            for n in (1, 2, 7, 64, 200):
+                for m in sorted(set(range(min(n, 8) + 1)) | {n}):
+                    assert a.subset_mask(n, m) == _mask(_floyd_reference(b, n, m))
+                    assert a.random_bits(64) == b.random_bits(64)
 
     def test_random_bits_four_words(self):
         n, trials = 200, 4000
@@ -127,6 +150,21 @@ class TestSampler:
             rng.next_flip_count(6, 1 / 6)
         assert fills.sizes == [16 << i for i in range(9)] + [4096, 4096]
 
+    def test_flip_blocks_are_kept_per_n_and_rate(self):
+        # interleaved (n, rate) reads each take the next count of their own
+        # block, filled in the order a dict of per-key blocks would fill them
+        keys = [(6, 1 / 6), (12, 1 / 6), (6, 0.5), (40, 1 / 40)]
+        rng, pick = RandomStream(80), RandomStream(81)
+        generator = RandomStream(80).generator
+        blocks = {}
+        for _ in range(20_000):
+            n, rate = keys[pick.next_index(len(keys))]
+            block, fill = blocks.get((n, rate), ([], 16))
+            if not block:
+                block = generator.binomial(n, rate, size=fill).tolist()[::-1]
+                blocks[n, rate] = (block, min(2 * fill, 4096))
+            assert rng.next_flip_count(n, rate) == block.pop()
+
     def test_interleaved_draws_replay(self):
         assert draws(RandomStream(77, 3)) == draws(RandomStream(77, 3))
 
@@ -136,7 +174,7 @@ class TestSampler:
             rng.random_bits(130)
             rng.next_index(769)
             rng.next_flip_count(40, 1 / 40)
-            rng.distinct_indices(40, 5)
+            rng.subset_mask(40, 5)
         rng.next_flip_count(100, 0.5)  # rejection sampling: a part-used Philox output buffer
         assert rng.generator.bit_generator.state["buffer_pos"] < 4
         assert rng.rekey(77, 3) is rng
@@ -175,6 +213,25 @@ class TestMutation:
         p0 = sum(f == 0 for f in flips) / trials
         expect0 = (1 - 1 / n) ** n
         assert abs(p0 - expect0) < 4.0 * np.sqrt(expect0 * (1 - expect0) / trials)
+
+    def test_bitwise_mutation_is_xor_with_floyds_mask(self):
+        # against value ^ mask with a fresh popcount, on the 0-, 1- and
+        # multi-flip paths alike, with the same draws consumed
+        paths = Counter()
+        for n in (2, 3, 7, 64, 200):
+            for seed in range(3):
+                a, b = RandomStream(79, seed), RandomStream(79, seed)
+                value = a.random_bits(n)
+                assert b.random_bits(n) == value
+                ones = value.bit_count()
+                for _ in range(300):
+                    m = b.next_flip_count(n, 1.0 / n)
+                    new = value ^ _mask(_floyd_reference(b, n, m))
+                    assert mutate_value_bitwise(value, ones, n, a) == (new, new.bit_count())
+                    assert a.random_bits(64) == b.random_bits(64)
+                    paths[min(m, 2)] += 1
+                    value, ones = new, new.bit_count()
+        assert min(paths[0], paths[1], paths[2]) > 100
 
     def test_uniform_init_balance(self):
         n, trials = 32, 4000

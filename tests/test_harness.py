@@ -17,7 +17,7 @@ from tlonemax import (
 )
 from tlonemax import harness
 from tlonemax.harness import (
-    SCALING_GATE, ConfigError, PointResult, report_csv, report_json_obj,
+    MAX_WORKERS, SCALING_GATE, ConfigError, PointResult, report_csv, report_json_obj,
 )
 
 
@@ -162,6 +162,24 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="workers"):
                 _small_config(workers=workers).validate()
         _small_config(workers=None).validate()  # None means one per core
+
+    def test_process_count_capped(self, monkeypatch):
+        # validation alone decides: no pool may be built for a rejected config
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        config = _small_config(trials=5000, workers=MAX_WORKERS)
+        assert config._pool_size()[1] == MAX_WORKERS
+        config.validate()
+        _small_config(trials=MAX_WORKERS, workers=10**330).validate()  # one process per trial
+        for trials, workers in ((5000, MAX_WORKERS + 1), (5000, 5000), (MAX_WORKERS + 1, 10**330)):
+            config = _small_config(trials=trials, workers=workers)
+            processes = config._pool_size()[1]
+            assert processes > MAX_WORKERS
+            with pytest.raises(ConfigError, match=rf"^workers: {trials} trials would start "
+                                                  rf"{processes} worker processes, above the "
+                                                  rf"limit of {MAX_WORKERS}$"):
+                config.validate()
+            with pytest.raises(ConfigError, match="^workers: "):
+                run_experiment(config)
 
     def test_budget_below_one_rejected(self):
         # default budgets: 100 n^2 = 3600 at n=6 for alg1, 100 mu n = 800 at n=8, mu=1
