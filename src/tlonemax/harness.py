@@ -35,7 +35,8 @@ from .oracle import SIZE_LIMIT, min_population, theorem1_bound, theorem2_bound
 ALGORITHMS = ("rls", "oea", "muea")
 # the largest runtime-ratio spread that still reads as O(mu*n) scaling
 SCALING_GATE = 2.0
-# the most worker processes one run may start; the pool forks them all at once
+# the most worker processes a run may ask for (the default, one per core, is
+# not capped); the pool forks them all at once
 MAX_WORKERS = 1024
 
 _CSV_HEADER = (
@@ -96,9 +97,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ``ConfigError``, naming the field, for any config that cannot run.
 
-        That includes a pool of more than ``MAX_WORKERS`` processes, and a
-        muea point whose populations, one per worker process that runs trials
-        at once, would take more than 1 GiB together.
+        That includes a ``workers`` value that would start more than
+        ``MAX_WORKERS`` processes, and a muea point whose populations, one
+        per worker process that runs trials at once, would take more than
+        1 GiB together.
         """
         for name, (has_type, type_name) in _FIELD_TYPES.items():
             value = getattr(self, name)
@@ -139,7 +141,7 @@ class ExperimentConfig:
                     f"generations at n={n}; it must be finite and >= 1"
                 )
         processes = self._pool_size()[1]
-        if processes > MAX_WORKERS:
+        if self.workers is not None and processes > MAX_WORKERS:
             raise ConfigError(f"workers: {self.trials} trials would start {processes} worker "
                               f"processes, above the limit of {MAX_WORKERS}")
         if self.algorithm != "muea":

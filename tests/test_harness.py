@@ -180,6 +180,11 @@ class TestConfigValidation:
                 config.validate()
             with pytest.raises(ConfigError, match="^workers: "):
                 run_experiment(config)
+        # the default, one process per core, is the machine's own size
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 5000)
+        config = _small_config(trials=5000, workers=None)
+        assert config._pool_size()[1] == 5000
+        config.validate()
 
     def test_budget_below_one_rejected(self):
         # default budgets: 100 n^2 = 3600 at n=6 for alg1, 100 mu n = 800 at n=8, mu=1
