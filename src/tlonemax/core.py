@@ -9,7 +9,9 @@ A stream draws from one block of raw 64-bit words, filled lazily: the first
 fill is 16 words and each later fill doubles, up to 4096, so a short trial
 generates about as many words as it uses.  Uniform bits, bounded indices
 and position-subset masks all consume that one block; binomial flip counts
-come from a block per ``(n, rate)`` that grows the same way.
+come from a block of one ``(n, rate)`` that grows the same way, and a read
+at another ``(n, rate)`` drops it and starts that pair's block afresh.  A
+trial mutates at one n with rate 1/n, so it never switches.
 
 Building a numpy generator costs about as much as a short trial, so a
 stream can be re-keyed in place: ``rekey(seed, stream)`` resets the Philox
@@ -51,8 +53,9 @@ class RandomStream:
         # unread draws, last-drawn first so list.pop() reads them in order
         self._words: list[int] = []
         self._next_fill = _FIRST_FILL
-        self._flip_blocks: dict[tuple[int, float], tuple[list[int], int]] = {}
-        self._flip_n, self._flip_rate, self._flip_block = 0, 0.0, []
+        self._flip_n, self._flip_rate = 0, 0.0
+        self._flip_block: list[int] = []
+        self._next_flip_fill = _FIRST_FILL
         return self
 
     def _refill(self) -> list[int]:
@@ -79,19 +82,21 @@ class RandomStream:
                 m = (self._words or self._refill()).pop() * k
         return m >> 64
 
+    def _refill_flips(self) -> list[int]:
+        """Replace the spent flip-count block with the next, larger one of the same pair."""
+        size = self._next_flip_fill
+        block = self.generator.binomial(self._flip_n, self._flip_rate, size=size).tolist()
+        block.reverse()
+        self._flip_block = block
+        self._next_flip_fill = min(2 * size, _MAX_FILL)
+        return block
+
     def next_flip_count(self, n: int, rate: float) -> int:
         """Binomial(n, rate) draw from a block that grows like the word block."""
-        block = self._flip_block  # the block of the last (n, rate) read
-        if block and n == self._flip_n and rate == self._flip_rate:
-            return block.pop()
-        key = (n, rate)
-        block, next_fill = self._flip_blocks.get(key, ((), _FIRST_FILL))
-        if not block:
-            block = self.generator.binomial(n, rate, size=next_fill).tolist()
-            block.reverse()
-            self._flip_blocks[key] = (block, min(2 * next_fill, _MAX_FILL))
-        self._flip_n, self._flip_rate, self._flip_block = n, rate, block
-        return block.pop()
+        if n != self._flip_n or rate != self._flip_rate:  # a new pair: a block from the first fill
+            self._flip_n, self._flip_rate = n, rate
+            self._flip_block, self._next_flip_fill = [], _FIRST_FILL
+        return (self._flip_block or self._refill_flips()).pop()
 
     def subset_mask(self, n: int, m: int) -> int:
         """A uniform m-subset of [0, n) as an n-bit mask, from exactly m index draws (Floyd)."""
@@ -119,7 +124,6 @@ def mutate_value_bitwise(value: int, ones: int, n: int, rng: RandomStream) -> tu
     if m == 0:
         return value, ones
     if m == 1:  # Floyd's one draw: the one-bit flip
-        bit = 1 << rng.next_index(n)
-        return value ^ bit, ones - 1 if value & bit else ones + 1
+        return mutate_value_one_bit(value, ones, n, rng)
     new = value ^ rng.subset_mask(n, m)
     return new, new.bit_count()

@@ -150,20 +150,22 @@ class TestSampler:
             rng.next_flip_count(6, 1 / 6)
         assert fills.sizes == [16 << i for i in range(9)] + [4096, 4096]
 
-    def test_flip_blocks_are_kept_per_n_and_rate(self):
-        # interleaved (n, rate) reads each take the next count of their own
-        # block, filled in the order a dict of per-key blocks would fill them
+    def test_a_new_flip_pair_restarts_the_flip_block(self):
+        # a run of reads at one (n, rate) continues its block; a read at another
+        # pair drops the unread counts and fills that pair's block from 16 again
         keys = [(6, 1 / 6), (12, 1 / 6), (6, 0.5), (40, 1 / 40)]
         rng, pick = RandomStream(80), RandomStream(81)
         generator = RandomStream(80).generator
-        blocks = {}
-        for _ in range(20_000):
-            n, rate = keys[pick.next_index(len(keys))]
-            block, fill = blocks.get((n, rate), ([], 16))
-            if not block:
-                block = generator.binomial(n, rate, size=fill).tolist()[::-1]
-                blocks[n, rate] = (block, min(2 * fill, 4096))
-            assert rng.next_flip_count(n, rate) == block.pop()
+        key, block, fill = None, [], 16
+        for _ in range(300):
+            new_key = keys[pick.next_index(len(keys))]
+            if new_key != key:
+                key, block, fill = new_key, [], 16
+            for _ in range(1 + pick.next_index(100)):
+                if not block:
+                    block = generator.binomial(*key, size=fill).tolist()[::-1]
+                    fill = min(2 * fill, 4096)
+                assert rng.next_flip_count(*key) == block.pop()
 
     def test_interleaved_draws_replay(self):
         assert draws(RandomStream(77, 3)) == draws(RandomStream(77, 3))
