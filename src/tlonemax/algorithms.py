@@ -3,19 +3,22 @@
 Selection always compares the candidate pair (parent's current first bit,
 offspring) against the incumbent with >=, so ties accept the offspring in the
 single-individual algorithm, while the population algorithm
-(``Population.step``) removes one uniformly chosen lowest-fitness pair among
-the mu+1 candidates with no secondary tie-break.
+(``Population.evolve``) removes one uniformly chosen lowest-fitness pair
+among the mu+1 candidates with no secondary tie-break.
 
-The single-individual algorithm is one generation loop, ``alg1_moves``: it
-picks the mutation operator once per run and yields only the accepted
-states, which are the only ones whose class can change.  ``run_alg1`` and
-acceptance criterion 7 both drive it.
+Each algorithm is one generation loop that yields only when something its
+stopping rule reads may have changed.  ``alg1_moves`` picks the mutation
+operator once per run and yields the accepted states, the only ones whose
+class can change; ``Population.evolve`` keeps the population in locals and
+yields after the generations that change its census.  ``run_alg1``,
+``run_alg2`` and acceptance criterion 7 drive them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .core import RandomStream, mutate_value_bitwise, mutate_value_one_bit
@@ -113,7 +116,7 @@ def run_alg1(
 class Population:
     """Ordered multiset of mu ``(b, value)`` slots with an incremental census.
 
-    ``step`` runs one generation of the population algorithm in place.  Each
+    ``evolve`` runs generations of the population algorithm in place.  Each
     slot is classified once, when it enters; the counts of slots in each
     stagnation event, the ``optimum_generated`` flag and the slots of each
     fitness value (its bucket) are maintained on every replacement, so the
@@ -136,14 +139,14 @@ class Population:
         self._prev = [b for b, _ in slots]
         self._value = [value for _, value in slots]
         self._ones = [value.bit_count() for value in self._value]
-        self._kind: list[OutcomeKind | None] = [None] * self.mu
-
-        self.event_i_count = 0
-        self.event_ii_count = 0
-        self.optimum_generated = False
+        # each slot is classified once, as it enters
+        kinds = self._kind = [classify(b, value, n) for b, value in slots]
+        self.event_i_count = kinds.count(STAGNATED_EVENT_I)
+        self.event_ii_count = kinds.count(STAGNATED_EVENT_II)
+        self.optimum_generated = OPTIMUM_FOUND in kinds
         self._buckets: dict[int, list[int]] = {}
-        for i in range(self.mu):
-            self._register(i)
+        for i, (b, ones) in enumerate(zip(self._prev, self._ones)):
+            self._buckets.setdefault(fitness(b, ones, n), []).append(i)
         self.min_fitness = min(self._buckets)
 
     @classmethod
@@ -155,51 +158,61 @@ class Population:
             slots.append((b, rng.random_bits(n)))
         return cls(n, slots)
 
-    # -- census bookkeeping -------------------------------------------------
+    def evolve(self, rng: RandomStream, generations: int) -> Iterator[int]:
+        """Run ``generations`` generations in place; yield g after each that changes the census.
 
-    def _register(self, i: int) -> None:
-        """Classify the slot entering position i and add it to the census; the
-        optimum, of maximum fitness n, leaves only when every slot is the
-        optimum, so ``optimum_generated`` is never cleared."""
-        kind = self._kind[i] = classify(self._prev[i], self._value[i], self.n)
-        self.event_i_count += kind is STAGNATED_EVENT_I
-        self.event_ii_count += kind is STAGNATED_EVENT_II
-        self.optimum_generated |= kind is OPTIMUM_FOUND
-        fit = fitness(self._prev[i], self._ones[i], self.n)
-        self._buckets.setdefault(fit, []).append(i)
-
-    def step(self, rng: RandomStream) -> None:
-        """One generation: uniform parent, bitwise offspring, >=-min acceptance,
-        then uniform removal among the lowest-fitness pairs of the mu+1."""
-        n = self.n
-        parent = rng.next_index(self.mu)
-        value, ones = mutate_value_bitwise(self._value[parent], self._ones[parent], n, rng)
-        prev = self._value[parent] & 1
-        fit = fitness(prev, ones, n)
+        A generation is a uniform parent, a bitwise offspring paired with the
+        parent's current first bit, and uniform removal of a lowest-fitness
+        pair among the mu+1.  The census (``event_i_count``,
+        ``event_ii_count``, ``optimum_generated``) and ``min_fitness`` are
+        current at every yield and when the generator stops.  The optimum,
+        of maximum fitness n, leaves only when every slot is the optimum, and
+        no offspring then reaches n, so ``optimum_generated`` is never cleared.
+        """
+        n, mu = self.n, self.mu
+        prevs, values, ones_of, kinds, buckets = (
+            self._prev, self._value, self._ones, self._kind, self._buckets)
+        ei, eii, opt = self.event_i_count, self.event_ii_count, self.optimum_generated
         low_fit = self.min_fitness
-        if fit < low_fit:
-            return
-        bucket = self._buckets[low_fit]
-        low = len(bucket)
-        k = low + (fit == low_fit)
-        r = rng.next_index(k) if k > 1 else 0
-        if r == low:
-            return  # the offspring itself was the removed lowest pair
-        i = bucket[r]
-        bucket[r] = bucket[-1]  # swap-remove: the last slot of the bucket takes position r
-        bucket.pop()
-        kind = self._kind[i]
-        self.event_i_count -= kind is STAGNATED_EVENT_I
-        self.event_ii_count -= kind is STAGNATED_EVENT_II
-        self._prev[i] = prev
-        self._value[i] = value
-        self._ones[i] = ones
-        self._register(i)
-        if not bucket:
-            del self._buckets[low_fit]
-            while low_fit not in self._buckets:
-                low_fit += 1
+        bucket = buckets[low_fit]
+        next_index = rng.next_index
+        for g in range(1, generations + 1):
+            parent = next_index(mu)
+            value = values[parent]
+            prev = value & 1
+            value, ones = mutate_value_bitwise(value, ones_of[parent], n, rng)
+            fit = ones - n if prev else ones  # fitness(prev, ones, n) without the call
+            if fit < low_fit:
+                continue
+            low = len(bucket)
+            k = low + (fit == low_fit)
+            r = next_index(k) if k > 1 else 0
+            if r == low:
+                continue  # the offspring itself was the removed lowest pair
+            i = bucket[r]
+            bucket[r] = bucket[-1]  # swap-remove: the last slot of the bucket takes position r
+            bucket.pop()
+            prevs[i], values[i], ones_of[i] = prev, value, ones
+            try:
+                buckets[fit].append(i)
+            except KeyError:
+                buckets[fit] = [i]
+            if not bucket:
+                del buckets[low_fit]
+                while low_fit not in buckets:
+                    low_fit += 1
+                bucket = buckets[low_fit]
+            kind = classify(prev, value, n)
+            old, kinds[i] = kinds[i], kind
+            if kind is old or (opt and old is None and kind is OPTIMUM_FOUND):
+                continue  # no count moves: the same class, or one more optimum
+            opt = opt or kind is OPTIMUM_FOUND
+            ei += (kind is STAGNATED_EVENT_I) - (old is STAGNATED_EVENT_I)
+            eii += (kind is STAGNATED_EVENT_II) - (old is STAGNATED_EVENT_II)
+            self.event_i_count, self.event_ii_count, self.optimum_generated = ei, eii, opt
             self.min_fitness = low_fit
+            yield g
+        self.min_fitness = low_fit
 
     # -- views ---------------------------------------------------------------
 
@@ -283,7 +296,9 @@ def run_alg2(
 
     With ``early_exit`` the run stops at the population analogues of the two
     stagnation events: every slot in event I (I'), or every slot in event II
-    (II').
+    (II').  The events are read before each generation, so a census reached
+    after generation g reports g + 1, and one reached after the last
+    generation reports an exhausted budget.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -297,16 +312,11 @@ def run_alg2(
         raise ValueError("budget must be >= 1")
 
     pop = Population.random(n, mu, rng)
-    if pop.optimum_generated:
-        return TrialOutcome(OPTIMUM_FOUND, 0)
-    for g in range(1, budget + 1):
-        if early_exit:
-            if pop.event_i_count == mu:
-                return TrialOutcome(STAGNATED_EVENT_I, g)
-            if pop.event_ii_count == mu:
-                return TrialOutcome(STAGNATED_EVENT_II, g)
-        pop.step(rng)
+    for g in chain((0,), pop.evolve(rng, budget)):  # the initial census, then each change
         if pop.optimum_generated:
             return TrialOutcome(OPTIMUM_FOUND, g)
+        if early_exit and g < budget and mu in (pop.event_i_count, pop.event_ii_count):
+            # the events are read at the top of the next generation
+            kind = STAGNATED_EVENT_I if pop.event_i_count == mu else STAGNATED_EVENT_II
+            return TrialOutcome(kind, g + 1)
     return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
-

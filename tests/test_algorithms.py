@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlonemax import (
@@ -31,18 +31,20 @@ def _slot(prev, bits):
     return (prev, sum(bit << i for i, bit in enumerate(bits)))
 
 
+def _rescanned_census(pop):
+    """(slots in event I, slots in event II, whether a slot is the optimum) by a full scan."""
+    kinds = [classify(b, value, pop.n) for b, value, _ in pop.pairs()]
+    return kinds.count(EVENT_I), kinds.count(EVENT_II), OutcomeKind.OPTIMUM_FOUND in kinds
+
+
 def _check_census(pop):
     """A full rescan of ``pop`` must agree with its incremental census."""
-    ei = eii = 0
     for i in range(pop.mu):
         assert pop._ones[i] == pop._value[i].bit_count()
-        kind = classify(pop._prev[i], pop._value[i], pop.n)
-        assert pop._kind[i] is kind  # the class stored when the slot entered
-        ei += kind is EVENT_I
-        eii += kind is EVENT_II
-    assert ei == pop.event_i_count and eii == pop.event_ii_count
-    assert pop.optimum_generated == any(
-        classify(b, v, pop.n) is OutcomeKind.OPTIMUM_FOUND for b, v, _ in pop.pairs())
+        # the class stored when the slot entered
+        assert pop._kind[i] is classify(pop._prev[i], pop._value[i], pop.n)
+    assert _rescanned_census(pop) == (
+        pop.event_i_count, pop.event_ii_count, pop.optimum_generated)
     # every slot sits exactly once, in the bucket of its fitness
     assert sorted(i for bucket in pop._buckets.values() for i in bucket) == list(range(pop.mu))
     for fit, bucket in pop._buckets.items():
@@ -164,7 +166,7 @@ class TestPopulation:
         pop = Population.random(n, mu, rng)
         _check_census(pop)
         for _ in range(50):
-            pop.step(rng)
+            list(pop.evolve(rng, 1))
             _check_census(pop)
 
     @settings(max_examples=40, deadline=None)
@@ -174,7 +176,7 @@ class TestPopulation:
         pop = Population.random(n, mu, rng)
         low = pop.min_fitness
         for _ in range(80):
-            pop.step(rng)
+            list(pop.evolve(rng, 1))
             _check_census(pop)
             assert pop.min_fitness >= low
             low = pop.min_fitness
@@ -183,8 +185,38 @@ class TestPopulation:
         rng = RandomStream(9)
         pop = Population.random(6, 5, rng)
         for _ in range(200):
-            pop.step(rng)
+            list(pop.evolve(rng, 1))
         assert pop.mu == 5 and sum(1 for _ in pop.pairs()) == 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 8), st.integers(0, 2**31))
+    @example(2, 7, 0)  # optima replace an event-I slot and, silently, unclassed slots
+    def test_chunking_does_not_matter(self, n, mu, seed):
+        # G one-generation calls and one G-generation call make the same
+        # draws, yield at the same generations, and leave the same state; a
+        # yield comes exactly when a full rescan's census changes
+        generations = 150
+        one_rng, chunk_rng = RandomStream(seed), RandomStream(seed)
+        one, chunk = Population.random(n, mu, one_rng), Population.random(n, mu, chunk_rng)
+        one_yields = []
+        census = _rescanned_census(one)
+        for g in range(1, generations + 1):
+            yields = list(one.evolve(one_rng, 1))
+            _check_census(one)
+            before, census = census, _rescanned_census(one)
+            assert yields == ([1] if census != before else [])
+            one_yields += [g] * len(yields)
+        chunk_yields = []
+        for g in chunk.evolve(chunk_rng, generations):
+            _check_census(chunk)  # the census and min_fitness are current at each yield
+            chunk_yields.append(g)
+        _check_census(chunk)
+        assert chunk_yields == one_yields
+        assert list(chunk.pairs()) == list(one.pairs())
+        assert chunk._kind == one._kind and chunk._buckets == one._buckets
+        assert chunk.min_fitness == one.min_fitness
+        assert _rescanned_census(chunk) == census
+        assert one_rng.next_index(1 << 62) == chunk_rng.next_index(1 << 62)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
@@ -239,12 +271,42 @@ class TestRunAlg2:
                     if slot_kinds in ({EVENT_I}, {EVENT_II}):
                         expected = TrialOutcome(slot_kinds.pop(), g)
                         break
-                    pop.step(rng)
+                    list(pop.evolve(rng, 1))
                     if pop.optimum_generated:
                         expected = TrialOutcome(OutcomeKind.OPTIMUM_FOUND, g)
                         break
             assert outcome == expected
         assert {EVENT_I, EVENT_II} <= kinds
+
+    # (seed, budget, early_exit) -> outcome of run_alg2(3, 2, budget,
+    # RandomStream(2, seed)), frozen from the per-generation loop that read
+    # the events at the top of each generation.  Seed 3 is first all in
+    # event I after generation 4, seed 11 all in event II after generation
+    # 9, seed 6 all in event I after generation 1; seeds 88 and 142 start all
+    # in event I and all in event II, seed 12 with the optimum; seed 41 finds
+    # it in generation 1, seed 10 in generation 2.
+    BUDGET_EDGES = [
+        (3, 4, True, "budget", 4), (3, 4, False, "budget", 4),
+        (3, 5, True, "event_i", 5), (3, 5, False, "budget", 5),
+        (11, 9, True, "budget", 9), (11, 9, False, "budget", 9),
+        (11, 10, True, "event_ii", 10), (11, 10, False, "budget", 10),
+        (6, 1, True, "budget", 1), (6, 1, False, "budget", 1),
+        (6, 2, True, "event_i", 2), (6, 2, False, "budget", 2),
+        (88, 1, True, "event_i", 1), (88, 1, False, "budget", 1),
+        (142, 1, True, "event_ii", 1), (142, 1, False, "budget", 1),
+        (12, 1, True, "optimum", 0), (12, 1, False, "optimum", 0),
+        (41, 1, True, "optimum", 1), (41, 1, False, "optimum", 1),
+        (10, 1, True, "budget", 1), (10, 1, False, "budget", 1),
+        (10, 2, True, "optimum", 2), (10, 2, False, "optimum", 2),
+        (0, 1, True, "budget", 1), (0, 1, False, "budget", 1),
+    ]
+
+    @pytest.mark.parametrize("seed, budget, early_exit, kind, generation", BUDGET_EDGES)
+    def test_budget_edges(self, seed, budget, early_exit, kind, generation):
+        # an all-event census first seen after generation `budget` reports the
+        # budget; one first seen after `budget - 1` reports the event at `budget`
+        outcome = run_alg2(3, 2, budget, RandomStream(2, seed), early_exit)
+        assert outcome == TrialOutcome(OutcomeKind(kind), generation)
 
     def test_no_early_exit_never_reports_events(self):
         # both all-slot events are absorbing: without the early exit those
