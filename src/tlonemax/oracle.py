@@ -7,10 +7,12 @@ exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
 reduction.  The full chain's kernels, for both mutation kinds, look up one
 weight per Hamming distance; the lumped chain's bitwise kernel convolves
-slices of one vectorised table of binomial pmfs, one row per ones-count.
-The table stops at 24 flips, a band that drops less than 2/25! of each
-kernel row (nothing for n <= 25), so the lumped bitwise probabilities are
-lower bounds on the exact ones, up to rounding.  Both chains go through one
+slices of one table of binomial pmfs, one row per ones-count, which numpy
+builds from the ratio of consecutive binomial coefficients.  The table stops
+at 24 flips, a band that drops less than 2/25! of each kernel row (nothing
+for n <= 25).  That mass stays in place, so the lumped bitwise
+probabilities are those of a stochastic chain within 2/25! per row of the
+exact one, and sum to 1 up to rounding.  Both chains go through one
 builder, which reads each string class's first bit and ones-count off the
 class's representative string, and takes the kernel as banded rows: each
 row is one run of classes from its own offset on.  The lumped chain orders
@@ -21,10 +23,8 @@ so the builder solves by back-substitution over blocks of consecutive whole
 fitness levels, from the highest down, with one linear solve per block (of
 about the square root of the number of transient states) over the run of
 classes its rows reach, and no dense transition matrix.
-``scipy.special`` is imported inside the log-space helpers and inside the
-bitwise lumped chain, which takes its pmf table from the binomial ufunc that
-``scipy.stats.binom`` wraps.  So importing this module loads no scipy, and
-no call loads ``scipy.stats``.
+``scipy.special`` is imported only inside the log-space helpers, so
+importing this module or solving either chain loads no scipy.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def _selection_chain(
     from ``offset[c]`` on, its own class among them.  ``class_weights`` is
     the law of the class of a uniform random string.  From a transient state
     (b, c) the offspring class c' moves the chain to (first[c], c') when
-    ``accepts`` takes it; otherwise the state stays.
+    ``accepts`` takes it; otherwise, as for mass a row lacks, it stays.
 
     ``accepts`` never lowers the fitness, so ordered by fitness the chain is
     block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3),
@@ -363,12 +363,11 @@ def _selection_chain(
         accept = accepts(b[:, None], ones[c, None], x1, ones[lo:hi], n)
         moves = np.where(accept, rows, 0.0)
         rhs = np.where(x1 == 1, moves @ by_first[1, lo:hi], moves @ by_first[0, lo:hi])
-        # moves within the block, plus the rejected mass that stays put
-        # (rows is a copy, so it can keep the rejected mass in place)
-        Q = moves[:, c - lo] * (x1 == b)
-        rows[accept] = 0.0
-        Q.flat[:: len(states) + 1] += rows.sum(axis=1)
-        absorbed[states] = np.linalg.solve(np.eye(len(states)) - Q, rhs)
+        # I - Q: minus the moves within the block, and on the diagonal the mass
+        # that leaves each state, summed from the moves (1 - stay cancels digits)
+        A = -moves[:, c - lo] * (x1 == b)
+        A.flat[:: len(states) + 1] += moves.sum(axis=1)
+        absorbed[states] = np.linalg.solve(A, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
         labels=labels,
@@ -419,9 +418,9 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     The bitwise kernel keeps at most t = min(24, n-1) flips among the ones
     and as many among the zeros.  By the union bound, a side drops at most
     C(m, 25) n^-25 < 1/25! of mass, so a row loses less than 2/25!
-    (about 1.3e-25, far below rounding) and nothing for n <= 25.  The dropped
-    mass goes nowhere, so every row is substochastic and each absorption
-    probability is a lower bound on the exact one, up to rounding.
+    (about 1.3e-25, far below rounding) and nothing for n <= 25.  The
+    builder counts the dropped mass as staying put, so the chain it solves is
+    stochastic and differs from the exact one by less than 2/25! per row.
     """
     if not 2 <= n <= 1000:
         raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
@@ -434,13 +433,13 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     # current k, jointly with its first bit kept (`stay`) or flipped (`flip`)
     stay, flip = np.zeros((2, n, half))
     if bitwise:
-        from scipy.special._ufuncs import _binom_pmf
-
         p = 1.0 / n
-        # pmf[m, i] = P[Bin(m, p) = i] for i <= t, from the ufunc behind
-        # scipy.stats.binom.pmf; it is NaN above the support (i > m), which
-        # the loop never reads
-        pmf = _binom_pmf(np.arange(t + 1), ks[:, None], p)
+        # pmf[m, i] = P[Bin(m, p) = i] for i <= t, by the ratio
+        # C(m, i) / C(m, i-1) = (m-i+1) / i; it is 0 above the support (i > m)
+        i = np.arange(1, t + 1)
+        pmf = np.empty((n, t + 1))
+        pmf[:, 0] = (1 - p) ** ks
+        pmf[:, 1:] = np.cumprod((ks[:, None] - i + 1) / i * (p / (1 - p)), axis=1) * pmf[:, :1]
         for k in range(n):
             # flips among the k ones, then among the n-1-k zeros: pmf of k - i + j
             a, z = min(t, k), min(t, n - 1 - k)
