@@ -213,7 +213,7 @@ def _random_event_i_slot(n: int, rng: RandomStream) -> tuple[int, int]:
     # first bit 1, the rest uniform, redrawn while the slot is not in event I
     while True:
         value = (rng.random_bits(n - 1) << 1) | 1
-        if classify(0, value, n) is OutcomeKind.STAGNATED_EVENT_I:
+        if classify(0, 1, value.bit_count(), n) is OutcomeKind.STAGNATED_EVENT_I:
             return (0, value)
 
 
@@ -229,9 +229,9 @@ def criterion_7():
 
     def run_single(make_slot: Callable[[], tuple[int, int]]) -> bool:
         b, value = make_slot()
-        start = classify(b, value, n)
-        for _, b, value, _ in alg1_moves(b, value, n, MutationKind.BITWISE, rng, steps):
-            if classify(b, value, n) is not start:
+        start = classify(b, value & 1, value.bit_count(), n)
+        for _, b, value, ones in alg1_moves(b, value, n, MutationKind.BITWISE, rng, steps):
+            if classify(b, value & 1, ones, n) is not start:
                 return False
         return True
 

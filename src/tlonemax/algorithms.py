@@ -101,11 +101,11 @@ def run_alg1(
 
     b = rng.random_bits(n) & 1  # only the first bit of x^0 is stored
     value = rng.random_bits(n)
-    kind = classify(b, value, n)
+    kind = classify(b, value & 1, value.bit_count(), n)
     g = 0  # mutation steps taken
     if kind is not OPTIMUM_FOUND and not (early_exit and kind is not None):
-        for g, b, value, _ in alg1_moves(b, value, n, mutation_kind, rng, budget - 1):
-            kind = classify(b, value, n)
+        for g, b, value, ones in alg1_moves(b, value, n, mutation_kind, rng, budget - 1):
+            kind = classify(b, value & 1, ones, n)
             if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
                 break
         else:
@@ -140,14 +140,13 @@ class Population:
         self._value = [value for _, value in slots]
         self._ones = [value.bit_count() for value in self._value]
         # each slot is classified once, as it enters
-        kinds = self._kind = [classify(b, value, n) for b, value in slots]
+        kinds = self._kind = [classify(b, value & 1, ones, n) for b, value, ones in self.pairs()]
         self.event_i_count = kinds.count(STAGNATED_EVENT_I)
         self.event_ii_count = kinds.count(STAGNATED_EVENT_II)
         self.optimum_generated = OPTIMUM_FOUND in kinds
         self._buckets: dict[int, list[int]] = {}
         for i, (b, ones) in enumerate(zip(self._prev, self._ones)):
             self._buckets.setdefault(fitness(b, ones, n), []).append(i)
-        self.min_fitness = min(self._buckets)
 
     @classmethod
     def random(cls, n: int, mu: int, rng: RandomStream) -> "Population":
@@ -163,9 +162,10 @@ class Population:
 
         A generation is a uniform parent, a bitwise offspring paired with the
         parent's current first bit, and uniform removal of a lowest-fitness
-        pair among the mu+1.  The census (``event_i_count``,
-        ``event_ii_count``, ``optimum_generated``) and ``min_fitness`` are
-        current at every yield and when the generator stops.  The optimum,
+        pair among the mu+1.  A new slot is classified from its class: the
+        parent's first bit, the offspring's first bit and ones-count.  The
+        census (``event_i_count``, ``event_ii_count``, ``optimum_generated``)
+        is current at every yield and when the generator stops.  The optimum,
         of maximum fitness n, leaves only when every slot is the optimum, and
         no offspring then reaches n, so ``optimum_generated`` is never cleared.
         """
@@ -173,7 +173,7 @@ class Population:
         prevs, values, ones_of, kinds, buckets = (
             self._prev, self._value, self._ones, self._kind, self._buckets)
         ei, eii, opt = self.event_i_count, self.event_ii_count, self.optimum_generated
-        low_fit = self.min_fitness
+        low_fit = min(buckets)
         bucket = buckets[low_fit]
         next_index = rng.next_index
         for g in range(1, generations + 1):
@@ -202,7 +202,7 @@ class Population:
                 while low_fit not in buckets:
                     low_fit += 1
                 bucket = buckets[low_fit]
-            kind = classify(prev, value, n)
+            kind = classify(prev, value & 1, ones, n)
             old, kinds[i] = kinds[i], kind
             if kind is old or (opt and old is None and kind is OPTIMUM_FOUND):
                 continue  # no count moves: the same class, or one more optimum
@@ -210,9 +210,7 @@ class Population:
             ei += (kind is STAGNATED_EVENT_I) - (old is STAGNATED_EVENT_I)
             eii += (kind is STAGNATED_EVENT_II) - (old is STAGNATED_EVENT_II)
             self.event_i_count, self.event_ii_count, self.optimum_generated = ei, eii, opt
-            self.min_fitness = low_fit
             yield g
-        self.min_fitness = low_fit
 
     # -- views ---------------------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""The time-linkage objective and its absorbing states, on the raw state.
+"""The time-linkage objective and its absorbing states, on a state's class.
 
 Every algorithm works on one state, held as three integers: the stored
 previous first bit ``b``, the current string ``value`` (bit i of the integer
 is position i+1 of the string) and its ones-count ``ones``.  The objective
 scores it by ``ones - n*b``, so the unique maximum n is the all-ones string
 with stored first bit 0.  This module is the only one that knows that
-formula and the predicates of the optimum and the two stagnation events.
+formula and the predicates of the optimum and the two stagnation events,
+all read off the state's class: ``b``, the current first bit and ``ones``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def accepts(b, ones, first, off_ones, n):
     return off_ones - n * first >= ones - n * b
 
 
-def classify(b: int, value: int, n: int) -> OutcomeKind | None:
-    """Which absorbing state ``(b, value)`` is in, if any.
+def classify(b: int, first: int, ones: int, n: int) -> OutcomeKind | None:
+    """Which absorbing state the class ``(b, first, ones)`` is in, if any.
 
     - ``OPTIMUM_FOUND``: stored bit 0 and the all-ones string;
     - ``STAGNATED_EVENT_I`` (event I): stored bit 0, current first bit 1, and
@@ -56,9 +57,8 @@ def classify(b: int, value: int, n: int) -> OutcomeKind | None:
     - ``STAGNATED_EVENT_II`` (event II): stored bit 1 and the all-ones string;
     - ``None`` for every other state.
     """
-    if value == (1 << n) - 1:
+    if ones == n:
         return STAGNATED_EVENT_II if b else OPTIMUM_FOUND
-    if b == 0 and value & 1:
+    if b == 0 and first == 1:
         return STAGNATED_EVENT_I
     return None
-

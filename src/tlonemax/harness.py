@@ -260,16 +260,12 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
 _STREAM = RandomStream(0)
 
 
-def _trial_stream(master_seed: int, point_index: int, trial: int) -> RandomStream:
-    return _STREAM.rekey(master_seed, (point_index << 32) | trial)
-
-
 def _run_trial(
     algorithm: str, n: int, mu: int, budget: int, master_seed: int, point_index: int,
     early_exit: bool, trial: int,
 ) -> tuple[OutcomeKind, int] | str:
     """One trial on its own stream: ``(kind, generation)``, or the message if it raised."""
-    rng = _trial_stream(master_seed, point_index, trial)
+    rng = _STREAM.rekey(master_seed, (point_index << 32) | trial)
     try:
         if algorithm == "muea":
             result = run_alg2(n, mu, budget, rng, early_exit)

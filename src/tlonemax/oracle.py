@@ -13,16 +13,16 @@ at 24 flips, a band that drops less than 2/25! of each kernel row (nothing
 for n <= 25).  That mass stays in place, so the lumped bitwise
 probabilities are those of a stochastic chain within 2/25! per row of the
 exact one, and sum to 1 up to rounding.  Both chains go through one
-builder, which reads each string class's first bit and ones-count off the
-class's representative string, and takes the kernel as banded rows: each
-row is one run of classes from its own offset on.  The lumped chain orders
-its classes (k, x1) at index 2k + x1, so a row is a run of at most 98
-classes (6 for one-bit mutation) and no (2n)^2 kernel is built; the full
-chain's band is as wide as the chain.  Selection never lowers the fitness,
-so the builder solves by back-substitution over blocks of consecutive whole
-fitness levels, from the highest down, with one linear solve per block (of
-about the square root of the number of transient states) over the run of
-classes its rows reach, and no dense transition matrix.
+builder, which takes each string class as its first bit and ones-count and
+the kernel as banded rows: each row is one run of classes from its own
+offset on.  The lumped chain orders its classes (k, x1) at index 2k + x1,
+so a row is a run of at most 98 classes (6 for one-bit mutation) and no
+(2n)^2 kernel is built; the full chain's band is as wide as the chain.
+Selection never lowers the fitness, so the builder solves by
+back-substitution over blocks of consecutive whole fitness levels, from the
+highest down, with one linear solve per block (of about the square root of
+the number of transient states) over the run of classes its rows reach, and
+no dense transition matrix.
 ``scipy.special`` is imported only inside the log-space helpers, so
 importing this module or solving either chain loads no scipy.
 """
@@ -307,19 +307,22 @@ class AbsorptionResult:
 
 
 def _selection_chain(
-    n: int, reps: list[int], band: np.ndarray, offset: np.ndarray, class_weights: np.ndarray
+    n: int, first: np.ndarray, ones: np.ndarray, band: np.ndarray, offset: np.ndarray,
+    class_weights: np.ndarray,
 ) -> AbsorptionResult:
     """Absorption probabilities of the selection chain over C string classes.
 
     A state is a stored first bit b and a class c, at index b*C + c.  Class c
-    is represented by the string ``reps[c]``: ``classify`` labels it, and its
-    first bit and ones-count are the class's.  The offspring law comes as
-    banded rows: ``band[c, j]`` is the probability that a class-c string's
-    offspring lies in class ``offset[c] + j``, so row c reaches the W classes
-    from ``offset[c]`` on, its own class among them.  ``class_weights`` is
-    the law of the class of a uniform random string.  From a transient state
-    (b, c) the offspring class c' moves the chain to (first[c], c') when
-    ``accepts`` takes it; otherwise, as for mass a row lacks, it stays.
+    holds the strings with first bit ``first[c]`` and ones-count ``ones[c]``,
+    and ``classify`` labels each state from (b, first[c], ones[c]).  Both
+    arrays are read as signed integers, since ``accepts`` subtracts
+    ``n * first`` from a ones-count.  The offspring law comes as banded rows:
+    ``band[c, j]`` is the probability that a class-c string's offspring lies
+    in class ``offset[c] + j``, so row c reaches the W classes from
+    ``offset[c]`` on, its own class among them.  ``class_weights`` is the law
+    of the class of a uniform random string.  From a transient state (b, c)
+    the offspring class c' moves the chain to (first[c], c') when ``accepts``
+    takes it; otherwise, as for mass a row lacks, it stays.
 
     ``accepts`` never lowers the fitness, so ordered by fitness the chain is
     block-triangular (Kemeny & Snell, *Finite Markov Chains*, 1960, §3.3),
@@ -335,10 +338,11 @@ def _selection_chain(
     target in a later block would read as 0.
     """
     C, W = band.shape
-    first = np.array([x & 1 for x in reps])
-    ones = np.array([x.bit_count() for x in reps])
+    first = np.asarray(first, dtype=np.int64)
+    ones = np.asarray(ones, dtype=np.int64)
+    classes = list(zip(first.tolist(), ones.tolist()))
     labels = np.array(
-        [_LABEL[classify(b, x, n)] for b in (0, 1) for x in reps], dtype=np.int8
+        [_LABEL[classify(b, x1, k, n)] for b in (0, 1) for x1, k in classes], dtype=np.int8
     )
     # rows of transient states stay 0 until their block is solved
     absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
@@ -399,7 +403,7 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     ones = np.array([x.bit_count() for x in range(size)], dtype=np.uint8)
     M = w[ones[np.bitwise_xor.outer(xs, xs)]]
     return _selection_chain(
-        n, list(range(size)), M, np.zeros(size, dtype=int), np.full(size, 1.0 / size)
+        n, xs & 1, ones, M, np.zeros(size, dtype=int), np.full(size, 1.0 / size)
     )
 
 
@@ -408,9 +412,8 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
 
     Positions 2..n are exchangeable under both the fitness and the mutation
     operators, so a string's class is its first bit x1 and the ones-count k
-    of positions 2..n, at index 2k + x1; transition masses are exact
-    binomial sums.  Each class is represented by the string with first bit
-    x1, then k ones, then zeros.
+    of positions 2..n, at index 2k + x1, with ones-count k + x1; transition
+    masses are exact binomial sums.
 
     An offspring's ones-count lies within t of k, where t = 1 for one-bit
     mutation, so each kernel row is one run of W = 2 min(2t+1, n) classes
@@ -463,7 +466,8 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     for k in range(n - 1):
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
     kw = np.array(counts, dtype=float) / 2 ** (n - 1)
-    reps = [x1 | ((1 << k) - 1) << 1 for k in range(n) for x1 in (0, 1)]
+    first = np.tile((0, 1), n)
     return _selection_chain(
-        n, reps, band.reshape(2 * n, 2 * half), np.repeat(2 * start, 2), np.repeat(kw, 2) / 2
+        n, first, np.repeat(ks, 2) + first, band.reshape(2 * n, 2 * half),
+        np.repeat(2 * start, 2), np.repeat(kw, 2) / 2,
     )

@@ -16,6 +16,11 @@ def _v(bits):
     return sum(bit << i for i, bit in enumerate(bits))
 
 
+def _classify(prev, bits):
+    """``classify`` on the class of the string ``bits``: its first bit and ones-count."""
+    return classify(prev, bits[0], sum(bits), len(bits))
+
+
 class TestObjective:
     def test_maximum_value(self):
         assert fitness(0, 4, 4) == 4
@@ -38,25 +43,25 @@ class TestObjective:
             Population(3, [(2, 0)])
 
     def test_optimum_is_unique_pattern(self):
-        assert classify(0, _v([1, 1, 1]), 3) is OutcomeKind.OPTIMUM_FOUND
-        assert classify(1, _v([1, 1, 1]), 3) is not OutcomeKind.OPTIMUM_FOUND
-        assert classify(0, _v([1, 1, 0]), 3) is not OutcomeKind.OPTIMUM_FOUND
+        assert _classify(0, [1, 1, 1]) is OutcomeKind.OPTIMUM_FOUND
+        assert _classify(1, [1, 1, 1]) is not OutcomeKind.OPTIMUM_FOUND
+        assert _classify(0, [1, 1, 0]) is not OutcomeKind.OPTIMUM_FOUND
 
 
 class TestEvents:
     def test_event_i_requires_pattern_01_and_missing_one(self):
-        assert classify(0, _v([1, 0, 1]), 3) is EVENT_I
-        assert classify(0, _v([1, 1, 1]), 3) is not EVENT_I  # rest all ones: the optimum
-        assert classify(1, _v([1, 0, 1]), 3) is not EVENT_I  # wrong stored bit
-        assert classify(0, _v([0, 0, 1]), 3) is not EVENT_I  # current first bit 0
+        assert _classify(0, [1, 0, 1]) is EVENT_I
+        assert _classify(0, [1, 1, 1]) is not EVENT_I  # rest all ones: the optimum
+        assert _classify(1, [1, 0, 1]) is not EVENT_I  # wrong stored bit
+        assert _classify(0, [0, 0, 1]) is not EVENT_I  # current first bit 0
 
     def test_event_ii_is_stored_one_with_all_ones(self):
-        assert classify(1, _v([1, 1, 1]), 3) is EVENT_II
-        assert classify(1, _v([1, 1, 0]), 3) is not EVENT_II
-        assert classify(0, _v([1, 1, 1]), 3) is not EVENT_II
+        assert _classify(1, [1, 1, 1]) is EVENT_II
+        assert _classify(1, [1, 1, 0]) is not EVENT_II
+        assert _classify(0, [1, 1, 1]) is not EVENT_II
 
     def test_optimum_is_not_an_event(self):
-        assert classify(0, _v([1, 1, 1]), 3) is OPTIMUM
+        assert _classify(0, [1, 1, 1]) is OPTIMUM
 
     @given(st.integers(0, 1), st.lists(st.integers(0, 1), min_size=2, max_size=16))
     def test_events_and_optimum_mutually_exclusive(self, prev, bits):
@@ -66,4 +71,4 @@ class TestEvents:
         optimum = prev == 0 and all(bits)
         assert event_i + event_ii + optimum <= 1
         expected = EVENT_I if event_i else EVENT_II if event_ii else OPTIMUM if optimum else None
-        assert classify(prev, _v(bits), len(bits)) is expected
+        assert _classify(prev, bits) is expected

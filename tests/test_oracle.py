@@ -301,9 +301,10 @@ def _per_k_pmf_lumped_chain(n):
     M[:, 0, :, 0] = M[:, 1, :, 1] = (1.0 - p) * kdist
     M[:, 0, :, 1] = M[:, 1, :, 0] = p * kdist
     kw = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float) / 2 ** (n - 1)
-    reps = [x1 | ((1 << k) - 1) << 1 for k in range(n) for x1 in (0, 1)]
+    first = np.tile((0, 1), n)
     return oracle._selection_chain(
-        n, reps, M.reshape(2 * n, 2 * n), np.zeros(2 * n, dtype=int), np.repeat(kw, 2) / 2
+        n, first, np.repeat(np.arange(n), 2) + first, M.reshape(2 * n, 2 * n),
+        np.zeros(2 * n, dtype=int), np.repeat(kw, 2) / 2,
     )
 
 
@@ -359,14 +360,15 @@ def _exact_lumped_chain(n, kind):
 
 
 def _lumped_chain_inputs(n, kind, monkeypatch):
-    """The lumped chain, with the classes and the kernel ``M`` that
-    ``markov_lumped_absorption`` hands to the builder, as a dense matrix."""
+    """The lumped chain, with the class arrays ``first`` and ``ones`` and the
+    kernel ``M`` that ``markov_lumped_absorption`` hands to the builder, as a
+    dense matrix."""
     inputs = {}
     selection_chain = oracle._selection_chain
 
-    def capture(n, reps, band, offset, class_weights):
-        inputs.update(reps=reps, band=band, offset=offset)
-        return selection_chain(n, reps, band, offset, class_weights)
+    def capture(n, first, ones, band, offset, class_weights):
+        inputs.update(first=first, ones=ones, band=band, offset=offset)
+        return selection_chain(n, first, ones, band, offset, class_weights)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_selection_chain", capture)
@@ -374,7 +376,7 @@ def _lumped_chain_inputs(n, kind, monkeypatch):
     band, offset = inputs["band"], inputs["offset"]
     M = np.zeros((len(band), len(band)))
     M[np.arange(len(band))[:, None], offset[:, None] + np.arange(band.shape[1])] = band
-    return result, inputs["reps"], M
+    return result, inputs["first"], inputs["ones"], M
 
 
 def _dense_lumped_chain(n, kind, monkeypatch):
@@ -386,11 +388,9 @@ def _dense_lumped_chain(n, kind, monkeypatch):
     ``np.linalg.solve`` over the whole transient system, with the builder's
     diagonal.
     """
-    result, reps, M = _lumped_chain_inputs(n, kind, monkeypatch)
-    C = len(reps)
-    first = np.array([x & 1 for x in reps])
-    ones = np.array([x.bit_count() for x in reps])
-    optimum = np.array([x == (1 << n) - 1 for x in reps])
+    result, first, ones, M = _lumped_chain_inputs(n, kind, monkeypatch)
+    C = len(first)
+    optimum = ones == n
     b, c = np.divmod(np.arange(2 * C), C)
     targets = np.column_stack([
         (b == 0) & optimum[c],
@@ -458,7 +458,7 @@ class TestAbsorption:
         p = Fraction(1, n)
         kept = sum(math.comb(n - 1, i) * p**i * (1 - p) ** (n - 1 - i) for i in range(25))
         assert 1 - kept < Fraction(1, 2**64)
-        M = _lumped_chain_inputs(n, MutationKind.BITWISE, monkeypatch)[2]
+        M = _lumped_chain_inputs(n, MutationKind.BITWISE, monkeypatch)[3]
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-14
 
     def test_matches_per_state_loop(self):
