@@ -55,6 +55,9 @@ def default_budget_alg2(n: int, mu: int) -> int:
     return 100 * mu * n
 
 
+_MUTATE = {MutationKind.ONE_BIT: mutate_value_one_bit, MutationKind.BITWISE: mutate_value_bitwise}
+
+
 def alg1_moves(
     b: int, value: int, n: int, kind: MutationKind, rng: RandomStream, generations: int
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -65,7 +68,7 @@ def alg1_moves(
     (counted from 1) the generator yields ``(g, b, value, ones)``; a
     rejection leaves the state unchanged and yields nothing.
     """
-    mutate = mutate_value_one_bit if kind is MutationKind.ONE_BIT else mutate_value_bitwise
+    mutate = _MUTATE[kind]
     ones = value.bit_count()
     for g in range(1, generations + 1):
         off_value, off_ones = mutate(value, ones, n, rng)
@@ -92,6 +95,8 @@ def run_alg1(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if mutation_kind not in _MUTATE:
+        raise ValueError(f"mutation kind must be a MutationKind, got {mutation_kind!r}")
     if rng is None:
         rng = RandomStream(0)
     if budget is None:

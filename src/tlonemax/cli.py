@@ -33,7 +33,6 @@ from .oracle import (
     SIZE_LIMIT,
     lemma2_exact,
     lemma2_lower_bound,
-    markov_full_absorption,
     markov_lumped_absorption,
     min_population,
     theorem1_bound,
@@ -207,11 +206,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_markov(args: argparse.Namespace) -> int:
-    kind = MutationKind(args.kind)
-    solver = markov_lumped_absorption if args.lumped else markov_full_absorption
     rows = []
     for n in args.n:
-        result = solver(n, kind)
+        result = markov_lumped_absorption(n, args.kind)
         uniform = result.from_uniform()
         for state, value in [*uniform.items(), ("p_failure", result.failure_probability())]:
             rows.append({"n": n, "state": state, "value": f"{value:.12g}"})
@@ -264,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov = sub.add_parser("markov", help="absorption probability tables")
     p_markov.add_argument("--n", type=_int_list, required=True)
     p_markov.add_argument("--kind", choices=[k.value for k in MutationKind], default="bitwise")
-    p_markov.add_argument("--lumped", action="store_true",
-                          help="use the reduced chain (required for n > 10)")
     _add_output_flags(p_markov)
     p_markov.set_defaults(func=_cmd_markov)
 

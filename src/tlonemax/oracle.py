@@ -5,12 +5,13 @@ independent brute-force enumeration), the tail-bound evaluators, the
 monotone helper functions, the probability bounds of the main results, and
 exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
-reduction.  The full chain's kernels, for both mutation kinds, look up one
-weight per Hamming distance; the lumped chain's bitwise kernel convolves
-slices of one table of binomial pmfs, one row per ones-count, which numpy
-builds from the ratio of consecutive binomial coefficients.  The table stops
-at 24 flips, a band that drops less than 2/25! of each kernel row (nothing
-for n <= 25).  That mass stays in place, so the lumped bitwise
+reduction, which ``tlonemax markov`` prints (the full chain is its reference
+for n <= 10).  The full chain's kernels look up one weight per Hamming
+distance.  ``_lumped_kernel`` alone builds the lumped kernel; for bitwise
+mutation it convolves slices of one table of binomial pmfs, one row per
+ones-count, built from the ratio of consecutive binomial coefficients.  The
+table stops at 24 flips, a band that drops less than 2/25! of each kernel
+row (nothing for n <= 25).  That mass stays in place, so the lumped bitwise
 probabilities are those of a stochastic chain within 2/25! per row of the
 exact one, and sum to 1 up to rounding.  Both chains go through one
 builder, which takes each string class as its first bit and ones-count and
@@ -178,11 +179,8 @@ def h1_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
 
 
 def h2_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
-    """log of h2 = C(a+d-1, d-1) / n^d, strictly decreasing in d on [1, n-a]."""
-    from scipy.special import gammaln
-
-    d = np.asarray(d, dtype=float)
-    return gammaln(a + d) - gammaln(d) - gammaln(a + 1) - d * math.log(n)
+    """log of h2 = C(a+d-1, d-1) / n^d = h1(a+1, d-1), strictly decreasing in d on [1, n-a]."""
+    return h1_log(a + 1, n, np.asarray(d) - 1)
 
 
 def g_log(a, n) -> float:
@@ -272,22 +270,16 @@ class AbsorptionResult:
     """Absorption probabilities per start state of the selection chain.
 
     ``labels`` classifies each state (0 transient, 1 optimum, 2/3 the two
-    stagnation events).  ``class_weights`` is the law of the string class
-    of a uniform random string, and ``start_weights`` the probability of
-    each state under uniform random initialization, whose stored first bit
-    is uniform and independent of the string.  Only the class law is held,
-    half the length of the state law.
+    stagnation events).  ``start_weights`` is the probability of each state
+    under uniform random initialization, whose stored first bit is uniform
+    and independent of the string.
     """
 
     labels: np.ndarray
     p_optimum: np.ndarray
     p_event_i: np.ndarray
     p_event_ii: np.ndarray
-    class_weights: np.ndarray
-
-    @property
-    def start_weights(self) -> np.ndarray:
-        return np.tile(self.class_weights, 2) / 2
+    start_weights: np.ndarray
 
     @property
     def residual(self) -> np.ndarray:
@@ -378,11 +370,11 @@ def _selection_chain(
         p_optimum=p_opt,
         p_event_i=p_i,
         p_event_ii=p_ii,
-        class_weights=class_weights,
+        start_weights=np.tile(class_weights, 2) / 2,
     )
 
 
-def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
+def markov_full_absorption(n: int, mutation_kind: MutationKind | str) -> AbsorptionResult:
     """Exact chain over all 2^(n+1) states (stored first bit, current string).
 
     Every string can reach every other, so the kernel is one band as wide as
@@ -392,7 +384,7 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
         raise ValueError(f"full chain limited to 2 <= n <= 10, got {n}")
     size = 1 << n
     # w[h]: probability of mutating into one given string at Hamming distance h
-    if mutation_kind is MutationKind.BITWISE:
+    if MutationKind(mutation_kind) is MutationKind.BITWISE:
         p = 1.0 / n
         h = np.arange(n + 1)
         w = p**h * (1 - p) ** (n - h)
@@ -407,8 +399,15 @@ def markov_full_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionRes
     )
 
 
-def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionResult:
-    """Symmetry-lumped chain over 4n states.
+def markov_lumped_absorption(n: int, mutation_kind: MutationKind | str) -> AbsorptionResult:
+    """The symmetry-lumped chain over 4n states, the one ``tlonemax markov`` prints."""
+    if not 2 <= n <= 1000:
+        raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
+    return _selection_chain(n, *_lumped_kernel(n, mutation_kind))
+
+
+def _lumped_kernel(n: int, mutation_kind: MutationKind | str) -> tuple[np.ndarray, ...]:
+    """The lumped chain's ``(first, ones, band, offset, class_weights)``, for any n >= 2.
 
     Positions 2..n are exchangeable under both the fitness and the mutation
     operators, so a string's class is its first bit x1 and the ones-count k
@@ -425,9 +424,7 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
     builder counts the dropped mass as staying put, so the chain it solves is
     stochastic and differs from the exact one by less than 2/25! per row.
     """
-    if not 2 <= n <= 1000:
-        raise ValueError(f"lumped chain limited to 2 <= n <= 1000, got {n}")
-    bitwise = mutation_kind is MutationKind.BITWISE
+    bitwise = MutationKind(mutation_kind) is MutationKind.BITWISE
     ks = np.arange(n)
     t = min(24, n - 1) if bitwise else 1
     half = min(2 * t + 1, n)
@@ -467,7 +464,7 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind) -> AbsorptionR
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
     kw = np.array(counts, dtype=float) / 2 ** (n - 1)
     first = np.tile((0, 1), n)
-    return _selection_chain(
-        n, first, np.repeat(ks, 2) + first, band.reshape(2 * n, 2 * half),
+    return (
+        first, np.repeat(ks, 2) + first, band.reshape(2 * n, 2 * half),
         np.repeat(2 * start, 2), np.repeat(kw, 2) / 2,
     )

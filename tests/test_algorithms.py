@@ -151,6 +151,8 @@ class TestRunAlg1:
             run_alg1(1, MutationKind.ONE_BIT)
         with pytest.raises(ValueError):
             run_alg1(4, MutationKind.ONE_BIT, budget=0)
+        with pytest.raises(ValueError, match="'one_bit'"):
+            run_alg1(4, "one_bit")
 
     def test_default_budgets(self):
         assert default_budget_alg1(10) == 10_000

@@ -10,7 +10,14 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import tlonemax
-from tlonemax import MutationKind, cli, harness, markov_lumped_absorption, wilson_interval
+from tlonemax import (
+    MutationKind,
+    cli,
+    harness,
+    markov_full_absorption,
+    markov_lumped_absorption,
+    wilson_interval,
+)
 from tlonemax.acceptance import CriterionResult, run_criteria
 from tlonemax.cli import main
 
@@ -306,9 +313,22 @@ class TestTableCommands:
         assert (out_dir / "rel.csv").read_text().startswith("n,state,value\n")
         assert not (tmp_path / "rel.csv").exists()
 
-    def test_markov_lumped_beyond_full_limit(self, capsys):
-        assert main(["markov", "--n", "40", "--lumped"]) == 0
-        assert main(["markov", "--n", "40"]) == 1  # full chain refuses n > 10
+    @pytest.mark.parametrize("kind", [k.value for k in MutationKind])
+    def test_markov_prints_the_full_chain_to_n_10(self, kind, capsys):
+        # the lumped chain that markov solves prints the full chain's digits
+        rows = []
+        for n in range(2, 11):
+            result = markov_full_absorption(n, kind)
+            values = [*result.from_uniform().items(), ("p_failure", result.failure_probability())]
+            rows += [f"{n},{state},{value:.12g}\n" for state, value in values]
+        assert main(["markov", "--kind", kind, "--n", "2,3,4,5,6,7,8,9,10"]) == 0
+        assert capsys.readouterr().out == "n,state,value\n" + "".join(rows)
+
+    def test_markov_beyond_full_limit(self, capsys):
+        assert main(["markov", "--n", "40"]) == 0
+        assert main(["markov", "--n", "1001"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: lumped chain limited to 2 <= n <= 1000, got 1001\n")
 
     @pytest.mark.parametrize("kind, rows", [
         ("bitwise",
@@ -329,7 +349,7 @@ class TestTableCommands:
     def test_markov_lumped_golden_output(self, kind, rows, capsys):
         # pinned across commits: a change of the lumped kernel or its solver
         # may move per-state values by rounding, but not these printed digits
-        assert main(["markov", "--lumped", "--kind", kind, "--n", "26,400,1000"]) == 0
+        assert main(["markov", "--kind", kind, "--n", "26,400,1000"]) == 0
         assert capsys.readouterr().out == "n,state,value\n" + rows
 
     @pytest.mark.parametrize("argv", [
@@ -445,6 +465,16 @@ loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 print(repr(wilson_interval(3, 10)))
 """
+
+
+def test_readme_command_lines_parse():
+    """Every ``tlonemax`` command line in README parses, so the docs name no removed flag."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        lines = [line.split("#")[0].split() for line in fh if line.startswith("tlonemax ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_import_loads_no_scipy():

@@ -359,36 +359,25 @@ def _exact_lumped_chain(n, kind):
     return solved
 
 
-def _lumped_chain_inputs(n, kind, monkeypatch):
-    """The lumped chain, with the class arrays ``first`` and ``ones`` and the
-    kernel ``M`` that ``markov_lumped_absorption`` hands to the builder, as a
-    dense matrix."""
-    inputs = {}
-    selection_chain = oracle._selection_chain
-
-    def capture(n, first, ones, band, offset, class_weights):
-        inputs.update(first=first, ones=ones, band=band, offset=offset)
-        return selection_chain(n, first, ones, band, offset, class_weights)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_selection_chain", capture)
-        result = markov_lumped_absorption(n, kind)
-    band, offset = inputs["band"], inputs["offset"]
+def _lumped_chain_inputs(n, kind):
+    """The class arrays ``first`` and ``ones`` of the lumped chain and its
+    kernel ``M`` from ``oracle._lumped_kernel``, as a dense matrix."""
+    first, ones, band, offset, _ = oracle._lumped_kernel(n, kind)
     M = np.zeros((len(band), len(band)))
     M[np.arange(len(band))[:, None], offset[:, None] + np.arange(band.shape[1])] = band
-    return result, inputs["first"], inputs["ones"], M
+    return first, ones, M
 
 
-def _dense_lumped_chain(n, kind, monkeypatch):
+def _dense_lumped_chain(n, kind):
     """The lumped chain and the same chain solved as one dense system.
 
-    The reference for the block solver: it takes the kernel ``M`` that
-    ``markov_lumped_absorption`` hands to the builder, writes the acceptance
-    rule and the absorbing states out from their definitions, and makes one
-    ``np.linalg.solve`` over the whole transient system, with the builder's
-    diagonal.
+    The reference for the block solver: it takes the kernel ``M`` of
+    ``oracle._lumped_kernel``, writes the acceptance rule and the absorbing
+    states out from their definitions, and makes one ``np.linalg.solve`` over
+    the whole transient system, with the builder's diagonal.
     """
-    result, first, ones, M = _lumped_chain_inputs(n, kind, monkeypatch)
+    result = markov_lumped_absorption(n, kind)
+    first, ones, M = _lumped_chain_inputs(n, kind)
     C = len(first)
     optimum = ones == n
     b, c = np.divmod(np.arange(2 * C), C)
@@ -411,10 +400,10 @@ def _dense_lumped_chain(n, kind, monkeypatch):
 
 
 class TestAbsorption:
-    def test_lumped_block_solver_matches_one_dense_solve(self, monkeypatch):
+    def test_lumped_block_solver_matches_one_dense_solve(self):
         for n in (50, 200):
             for kind in MutationKind:
-                result, (p_opt, p_i, p_ii) = _dense_lumped_chain(n, kind, monkeypatch)
+                result, (p_opt, p_i, p_ii) = _dense_lumped_chain(n, kind)
                 assert np.max(np.abs(result.p_optimum - p_opt)) < 1e-13
                 assert np.max(np.abs(result.p_event_i - p_i)) < 1e-13
                 assert np.max(np.abs(result.p_event_ii - p_ii)) < 1e-13
@@ -451,14 +440,14 @@ class TestAbsorption:
             assert np.max(np.abs(result.p_event_ii - reference.p_event_ii)) < 1e-12
             assert np.array_equal(result.start_weights, reference.start_weights)
 
-    def test_flip_band_drops_mass_below_rounding(self, monkeypatch):
+    def test_flip_band_drops_mass_below_rounding(self):
         # the bitwise kernel keeps at most 24 flips among the ones and 24 among
         # the zeros; at n=1000 either side drops P[Bin(<= 999, 1/1000) > 24]
         n = 1000
         p = Fraction(1, n)
         kept = sum(math.comb(n - 1, i) * p**i * (1 - p) ** (n - 1 - i) for i in range(25))
         assert 1 - kept < Fraction(1, 2**64)
-        M = _lumped_chain_inputs(n, MutationKind.BITWISE, monkeypatch)[3]
+        M = _lumped_chain_inputs(n, MutationKind.BITWISE)[2]
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-14
 
     def test_matches_per_state_loop(self):
@@ -558,6 +547,13 @@ class TestAbsorption:
                     tracemalloc.stop()
                 assert peak < 16 * 2**20, f"n={n} {kind.value}: peak {peak / 2**20:.1f} MiB"
                 assert result.labels.itemsize == 1
+
+    def test_mutation_kind_by_member_or_value(self):
+        for solver in (markov_full_absorption, markov_lumped_absorption):
+            for kind in MutationKind:
+                assert solver(6, kind.value).from_uniform() == solver(6, kind).from_uniform()
+            with pytest.raises(ValueError, match="bitwse"):
+                solver(6, "bitwse")
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
