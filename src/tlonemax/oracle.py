@@ -407,7 +407,7 @@ def markov_lumped_absorption(n: int, mutation_kind: MutationKind | str) -> Absor
 
 
 def _lumped_kernel(n: int, mutation_kind: MutationKind | str) -> tuple[np.ndarray, ...]:
-    """The lumped chain's ``(first, ones, band, offset, class_weights)``, for any n >= 2.
+    """The lumped chain's ``(first, ones, band, offset, class_weights)``, unguarded in n.
 
     Positions 2..n are exchangeable under both the fitness and the mutation
     operators, so a string's class is its first bit x1 and the ones-count k
@@ -458,7 +458,8 @@ def _lumped_kernel(n: int, mutation_kind: MutationKind | str) -> tuple[np.ndarra
     band[:, 0, :, 1] = band[:, 1, :, 0] = flip
 
     # uniform initialization projects to binomial weights over k,
-    # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers
+    # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers; 2**(n-1)
+    # overflows a float, and this raises OverflowError, above n = 1024
     counts = [1]
     for k in range(n - 1):
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
