@@ -20,6 +20,7 @@ from .algorithms import MutationKind, Population, alg1_moves
 from .core import RandomStream
 from .fitness import OutcomeKind, classify
 from .harness import (
+    MUTATION,
     SCALING_GATE,
     ExperimentConfig,
     ExperimentReport,
@@ -112,7 +113,7 @@ def criterion_2():
     """Empirical failure rates at n=6 sit inside Wilson 99% of the exact chain."""
     details = []
     passed = True
-    for alg, kind in (("rls", MutationKind.ONE_BIT), ("oea", MutationKind.BITWISE)):
+    for alg, kind in MUTATION.items():
         point = _reference_report(alg, 4).points[0]
         predicted = markov_full_absorption(point.n, kind).failure_probability()
         failures = point.event_i_count + point.event_ii_count

@@ -87,11 +87,12 @@ def run_alg1(
 ) -> TrialOutcome:
     """Run until the optimum, a detected stagnation event, or the budget.
 
-    Stagnation events are absorbing, so with ``early_exit`` the run stops the
-    first generation an event holds; disabling it runs out the budget, as
-    ``--no-early-exit`` and the ``test_no_early_exit_never_reports_events``
-    tests of both algorithms do.  Generation 1 is the initial state, so the
-    budget allows ``budget - 1`` mutation steps.
+    One test reads the class of the initial state, then of each accepted
+    move.  Stagnation events are absorbing, so with ``early_exit`` the run
+    stops the first generation an event holds; disabling it runs out the
+    budget, as ``--no-early-exit`` and the two ``test_no_early_exit_*`` tests
+    do.  Generation 1 is the initial state, so the budget allows
+    ``budget - 1`` mutation steps.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -106,16 +107,12 @@ def run_alg1(
 
     b = rng.random_bits(n) & 1  # only the first bit of x^0 is stored
     value = rng.random_bits(n)
-    kind = classify(b, value & 1, value.bit_count(), n)
-    g = 0  # mutation steps taken
-    if kind is not OPTIMUM_FOUND and not (early_exit and kind is not None):
-        for g, b, value, ones in alg1_moves(b, value, n, mutation_kind, rng, budget - 1):
-            kind = classify(b, value & 1, ones, n)
-            if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
-                break
-        else:
-            return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
-    return TrialOutcome(kind, g + 1)
+    moves = alg1_moves(b, value, n, mutation_kind, rng, budget - 1)
+    for g, b, value, ones in chain(((0, b, value, value.bit_count()),), moves):
+        kind = classify(b, value & 1, ones, n)
+        if kind is OPTIMUM_FOUND or (early_exit and kind is not None):
+            return TrialOutcome(kind, g + 1)
+    return TrialOutcome(OutcomeKind.BUDGET_EXHAUSTED, budget)
 
 
 class Population:

@@ -32,7 +32,9 @@ from .algorithms import (
 from .core import RandomStream
 from .oracle import SIZE_LIMIT, min_population, theorem1_bound, theorem2_bound
 
-ALGORITHMS = ("rls", "oea", "muea")
+# the mutation operator of each single-individual algorithm
+MUTATION = {"rls": MutationKind.ONE_BIT, "oea": MutationKind.BITWISE}
+ALGORITHMS = (*MUTATION, "muea")
 # the largest runtime-ratio spread that still reads as O(mu*n) scaling
 SCALING_GATE = 2.0
 # the most worker processes a run may ask for (the default, one per core, is
@@ -270,8 +272,7 @@ def _run_trial(
         if algorithm == "muea":
             result = run_alg2(n, mu, budget, rng, early_exit)
         else:
-            kind = MutationKind.ONE_BIT if algorithm == "rls" else MutationKind.BITWISE
-            result = run_alg1(n, kind, budget, rng, early_exit)
+            result = run_alg1(n, MUTATION[algorithm], budget, rng, early_exit)
     except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
         return f"{type(exc).__name__}: {exc}"
     return result.kind, result.generation  # a third of a TrialOutcome's pickle
@@ -376,7 +377,9 @@ def report_json_obj(report: ExperimentReport) -> dict:
             if math.isnan(d[key]):
                 d[key] = None
         points.append(d)
-    return {"config": asdict(report.config), "points": points}
+    # the worker count says how a run was executed, not what it computed
+    config = {k: v for k, v in asdict(report.config).items() if k != "workers"}
+    return {"config": config, "points": points}
 
 
 def runtime_scaling_check(report: ExperimentReport) -> float:

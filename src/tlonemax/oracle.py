@@ -255,27 +255,21 @@ def min_population(n: int, delta: float) -> int:
 # Markov absorption solvers
 # ---------------------------------------------------------------------------
 
-TRANSIENT, OPT, EVENT_I, EVENT_II = 0, 1, 2, 3
-
-_LABEL = {
-    None: TRANSIENT,
-    OutcomeKind.OPTIMUM_FOUND: OPT,
-    OutcomeKind.STAGNATED_EVENT_I: EVENT_I,
-    OutcomeKind.STAGNATED_EVENT_II: EVENT_II,
-}
+# each absorbing class's column of (p_optimum, p_event_i, p_event_ii)
+_COLUMN = {OutcomeKind.OPTIMUM_FOUND: 0, OutcomeKind.STAGNATED_EVENT_I: 1,
+           OutcomeKind.STAGNATED_EVENT_II: 2}
 
 
 @dataclass
 class AbsorptionResult:
     """Absorption probabilities per start state of the selection chain.
 
-    ``labels`` classifies each state (0 transient, 1 optimum, 2/3 the two
-    stagnation events).  ``start_weights`` is the probability of each state
-    under uniform random initialization, whose stored first bit is uniform
-    and independent of the string.
+    An absorbing state, as ``fitness.classify`` names it, has probability 1
+    in its own class's column.  ``start_weights`` is the probability of each
+    state under uniform random initialization, whose stored first bit is
+    uniform and independent of the string.
     """
 
-    labels: np.ndarray
     p_optimum: np.ndarray
     p_event_i: np.ndarray
     p_event_ii: np.ndarray
@@ -306,8 +300,8 @@ def _selection_chain(
 
     A state is a stored first bit b and a class c, at index b*C + c.  Class c
     holds the strings with first bit ``first[c]`` and ones-count ``ones[c]``,
-    and ``classify`` labels each state from (b, first[c], ones[c]).  Both
-    arrays are read as signed integers, since ``accepts`` subtracts
+    and ``classify`` names each state's class from (b, first[c], ones[c]) once.
+    Both arrays are read as signed integers, since ``accepts`` subtracts
     ``n * first`` from a ones-count.  The offspring law comes as banded rows:
     ``band[c, j]`` is the probability that a class-c string's offspring lies
     in class ``offset[c] + j``, so row c reaches the W classes from
@@ -333,13 +327,12 @@ def _selection_chain(
     first = np.asarray(first, dtype=np.int64)
     ones = np.asarray(ones, dtype=np.int64)
     classes = list(zip(first.tolist(), ones.tolist()))
-    labels = np.array(
-        [_LABEL[classify(b, x1, k, n)] for b in (0, 1) for x1, k in classes], dtype=np.int8
-    )
-    # rows of transient states stay 0 until their block is solved
-    absorbed = (labels[:, None] == [OPT, EVENT_I, EVENT_II]).astype(float)
+    # a transient state's column is 3; its row stays 0 until its block is solved
+    column = np.array([_COLUMN.get(classify(b, x1, k, n), 3)
+                       for b in (0, 1) for x1, k in classes], dtype=np.int8)
+    absorbed = (column[:, None] == np.arange(3)).astype(float)
     by_first = absorbed.reshape(2, C, 3)
-    trans = np.flatnonzero(labels == TRANSIENT)
+    trans = np.flatnonzero(column == 3)
     level = fitness(trans // C, ones[trans % C], n)
     order = np.argsort(-level, kind="stable")
     # blocks of whole levels, each closed once it holds isqrt(T) states
@@ -366,7 +359,6 @@ def _selection_chain(
         absorbed[states] = np.linalg.solve(A, rhs)
     p_opt, p_i, p_ii = absorbed.T
     return AbsorptionResult(
-        labels=labels,
         p_optimum=p_opt,
         p_event_i=p_i,
         p_event_ii=p_ii,
@@ -458,12 +450,13 @@ def _lumped_kernel(n: int, mutation_kind: MutationKind | str) -> tuple[np.ndarra
     band[:, 0, :, 1] = band[:, 1, :, 0] = flip
 
     # uniform initialization projects to binomial weights over k,
-    # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers; 2**(n-1)
-    # overflows a float, and this raises OverflowError, above n = 1024
+    # C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1) in exact integers; int / int
+    # rounds correctly even where 2**(n-1) overflows a float (n > 1024)
     counts = [1]
     for k in range(n - 1):
         counts.append(counts[-1] * (n - 1 - k) // (k + 1))
-    kw = np.array(counts, dtype=float) / 2 ** (n - 1)
+    total = 2 ** (n - 1)
+    kw = np.array([c / total for c in counts])
     first = np.tile((0, 1), n)
     return (
         first, np.repeat(ks, 2) + first, band.reshape(2 * n, 2 * half),

@@ -53,14 +53,20 @@ def _check_census(pop):
             assert fitness(pop._prev[i], pop._ones[i], pop.n) == fit
 
 
-def _manual_alg1(n, kind, budget, rng):
-    """alg1 spelled out one generation at a time from the public operators."""
+def _manual_alg1(n, kind, budget, rng, early_exit=True):
+    """alg1 spelled out one generation at a time from the public operators.
+
+    Without ``early_exit`` only the optimum stops the run before the budget.
+    """
     mutate = mutate_value_one_bit if kind is MutationKind.ONE_BIT else mutate_value_bitwise
     b = rng.random_bits(n) & 1
     value = rng.random_bits(n)
     ones = value.bit_count()
     generation = 1
-    while classify(b, value & 1, ones, n) is None:
+    stops = {OutcomeKind.OPTIMUM_FOUND}
+    if early_exit:
+        stops |= {EVENT_I, EVENT_II}
+    while classify(b, value & 1, ones, n) not in stops:
         if generation >= budget:
             return OutcomeKind.BUDGET_EXHAUSTED, budget
         off_value, off_ones = mutate(value, ones, n, rng)
@@ -110,16 +116,20 @@ class TestAlg1Step:
 
     def test_run_matches_manual_replay(self):
         # run_alg1 consumes its stream exactly like two initial strings plus
-        # one mutation per generation, and stops at the same generation
+        # one mutation per generation, and stops at the same generation; a
+        # budget of 1 allows no mutation, and without early exit only the
+        # optimum ends a run early
         n = 6
         for kind in MutationKind:
-            for budget in (3, None):
-                for seed in range(10):
-                    rng, manual = RandomStream(seed), RandomStream(seed)
-                    outcome = run_alg1(n, kind, budget, rng)
-                    want = _manual_alg1(n, kind, budget or default_budget_alg1(n), manual)
-                    assert (outcome.kind, outcome.generation) == want
-                    assert rng.random_bits(64) == manual.random_bits(64)
+            for budget in (1, 3, None):
+                for early_exit in (True, False):
+                    for seed in range(10):
+                        rng, manual = RandomStream(seed), RandomStream(seed)
+                        outcome = run_alg1(n, kind, budget, rng, early_exit)
+                        want = _manual_alg1(n, kind, budget or default_budget_alg1(n), manual,
+                                            early_exit)
+                        assert (outcome.kind, outcome.generation) == want
+                        assert rng.random_bits(64) == manual.random_bits(64)
 
 
 class TestRunAlg1:

@@ -257,11 +257,12 @@ class TestRunExperiment:
         assert lo <= point.success_rate <= hi
 
     def test_worker_count_does_not_change_bytes(self):
-        csvs = []
+        texts = []
         for workers in (1, 3):
             report = run_experiment(_small_config(n_values=[5, 7], workers=workers))
-            csvs.append(report_csv(report))
-        assert csvs[0] == csvs[1]
+            texts.append((report_csv(report),
+                          json.dumps(report_json_obj(report), indent=2, allow_nan=False)))
+        assert texts[0] == texts[1]
 
     def test_pool_capped_at_chunk_count(self, monkeypatch):
         sizes = []

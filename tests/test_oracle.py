@@ -12,10 +12,12 @@ from scipy import stats
 
 from tlonemax import (
     MutationKind,
+    OutcomeKind,
     aux_ineq,
     chernoff_additive,
     chernoff_geometric,
     chernoff_lower,
+    classify,
     lemma2_bruteforce,
     lemma2_exact,
     markov_full_absorption,
@@ -26,15 +28,7 @@ from tlonemax import (
     theorem3_bound,
 )
 from tlonemax import oracle
-from tlonemax.oracle import (
-    EVENT_I,
-    EVENT_II,
-    OPT,
-    g_log,
-    h1_log,
-    h2_log,
-    lemma2_lower_bound,
-)
+from tlonemax.oracle import g_log, h1_log, h2_log, lemma2_lower_bound
 
 
 def _term_by_term_lemma2(n, a):
@@ -483,11 +477,44 @@ class TestAbsorption:
                             f"n={n} {kind.value} state {state}")
 
     def test_absorbing_states_are_certain(self):
-        for solver in (markov_full_absorption, markov_lumped_absorption):
-            result = solver(4, MutationKind.BITWISE)
-            assert np.all(result.p_optimum[result.labels == OPT] == 1.0)
-            assert np.all(result.p_event_i[result.labels == EVENT_I] == 1.0)
-            assert np.all(result.p_event_ii[result.labels == EVENT_II] == 1.0)
+        # a state that classify names absorbing carries probability 1 in the
+        # column of its own class and 0 in the others; the full chain's
+        # classes come from the string bits, the lumped chain's from its kernel
+        columns = (OutcomeKind.OPTIMUM_FOUND, OutcomeKind.STAGNATED_EVENT_I,
+                   OutcomeKind.STAGNATED_EVENT_II)
+        for n in (4, 6):
+            for kind in MutationKind:
+                first, ones = oracle._lumped_kernel(n, kind)[:2]
+                chains = {
+                    markov_full_absorption: [(x & 1, x.bit_count()) for x in range(1 << n)],
+                    markov_lumped_absorption: list(zip(first.tolist(), ones.tolist())),
+                }
+                for solver, classes in chains.items():
+                    result = solver(n, kind)
+                    rows = np.column_stack(
+                        [result.p_optimum, result.p_event_i, result.p_event_ii]).tolist()
+                    states = [(b, x1, k) for b in (0, 1) for x1, k in classes]
+                    assert len(states) == len(rows)
+                    absorbing = 0
+                    for state, row in zip(states, rows):
+                        outcome = classify(*state, n)
+                        if outcome is not None:
+                            assert row == [float(c is outcome) for c in columns], (
+                                f"n={n} {kind.value} {solver.__name__} {state}")
+                            absorbing += 1
+                    assert absorbing > 0
+
+    def test_lumped_kernel_builds_past_float_range(self):
+        # 2**(n-1) overflows a float above n = 1024; each class weight is its
+        # exact binomial count over 2**(n-1), correctly rounded, then halved
+        # between the two stored first bits
+        for n in (1025, 2000):
+            for kind in MutationKind:
+                weights = oracle._lumped_kernel(n, kind)[4]
+                assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+                for k in (0, 1, n // 3, n // 2, n - 1):
+                    want = float(Fraction(math.comb(n - 1, k), 2 ** (n - 1))) / 2
+                    assert weights[2 * k] == weights[2 * k + 1] == want, f"n={n} k={k}"
 
     def test_frozen_uniform_start_values(self):
         uniform = markov_full_absorption(4, MutationKind.BITWISE).from_uniform()
@@ -541,12 +568,11 @@ class TestAbsorption:
             for kind in MutationKind:
                 tracemalloc.start()
                 try:
-                    result = markov_lumped_absorption(n, kind)
+                    markov_lumped_absorption(n, kind)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert peak < 16 * 2**20, f"n={n} {kind.value}: peak {peak / 2**20:.1f} MiB"
-                assert result.labels.itemsize == 1
 
     def test_mutation_kind_by_member_or_value(self):
         for solver in (markov_full_absorption, markov_lumped_absorption):
