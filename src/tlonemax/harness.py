@@ -1,19 +1,20 @@
 """Experiment configuration, parallel Monte Carlo execution, and the report formats.
 
 Every trial draws from its own stream derived from (master seed, point
-index, trial index), and its outcome is mapped back in trial order, so the
-report bytes never depend on the worker count.  Each process keeps one
-``RandomStream`` and re-keys it for every trial; its draws are identical to
-a fresh ``RandomStream(master_seed, key)``.  The reports' 95% Wilson
-intervals take z from a constant; ``scipy.special`` is imported only for
-another confidence, so importing the package, running an experiment and
-writing its report load no scipy.
+index, trial index), and an experiment is one ordered map over its (point,
+trial) grid, so the report bytes never depend on the worker count.  Each
+process keeps one ``RandomStream`` and re-keys it for every trial; its
+draws are identical to a fresh ``RandomStream(master_seed, key)``.  The
+reports' 95% Wilson intervals take z from a constant; ``scipy.special`` is
+imported only for another confidence, so importing the package, running an
+experiment and writing its report load no scipy.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -263,11 +264,13 @@ _STREAM = RandomStream(0)
 
 
 def _run_trial(
-    algorithm: str, n: int, mu: int, budget: int, master_seed: int, point_index: int,
-    early_exit: bool, trial: int,
+    algorithm: str, master_seed: int, early_exit: bool, points: list[tuple[int, int, int]],
+    trials: int, task: int,
 ) -> tuple[OutcomeKind, int] | str:
-    """One trial on its own stream: ``(kind, generation)``, or the message if it raised."""
-    rng = _STREAM.rekey(master_seed, (point_index << 32) | trial)
+    """Grid task ``point * trials + trial``: ``(kind, generation)``, or the raised message."""
+    point, trial = divmod(task, trials)
+    n, mu, budget = points[point]
+    rng = _STREAM.rekey(master_seed, (point << 32) | trial)
     try:
         if algorithm == "muea":
             result = run_alg2(n, mu, budget, rng, early_exit)
@@ -279,27 +282,24 @@ def _run_trial(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute all grid points; bit-identical reports for identical configs.
+    """Run the (point, trial) grid as one ordered map; identical configs give identical bytes.
 
     A config that ``validate`` rejects raises its ``ConfigError`` before any trial runs.
     """
     config.validate()
     chunk, processes = config._pool_size()
+    points = list(zip(config.n_values, config.resolved_mu(), config.budgets()))
+    run_trial = functools.partial(_run_trial, config.algorithm, config.master_seed,
+                                  config.early_exit, points, config.trials)
+    tasks = range(len(points) * config.trials)
     report = ExperimentReport(config=config)
-    pool = None
-    if processes > 1:
-        # the fork start method launches all max_workers processes at the first submit
-        pool = ProcessPoolExecutor(max_workers=processes)
-    with pool or contextlib.nullcontext():
-        map_trials = map if pool is None else functools.partial(pool.map, chunksize=chunk)
-        points = zip(config.n_values, config.resolved_mu(), config.budgets())
-        for point_index, (n, mu, budget) in enumerate(points):
-            run_trial = functools.partial(
-                _run_trial, config.algorithm, n, mu, budget, config.master_seed,
-                point_index, config.early_exit,
-            )
-            outcomes = map_trials(run_trial, range(config.trials))  # in trial order
-            report.points.append(_aggregate(config, n, mu, outcomes, report.errors))
+    # the fork start method launches all max_workers processes at the first submit
+    with ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
+        outcomes = (map(run_trial, tasks) if pool is None
+                    else pool.map(run_trial, tasks, chunksize=chunk))
+        for n, mu, _ in points:
+            trials = itertools.islice(outcomes, config.trials)
+            report.points.append(_aggregate(config, n, mu, trials, report.errors))
     return report
 
 

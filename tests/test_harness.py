@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -11,6 +12,10 @@ from scipy import stats
 from tlonemax import (
     ExperimentConfig,
     ExperimentReport,
+    OutcomeKind,
+    RandomStream,
+    run_alg1,
+    run_alg2,
     run_experiment,
     runtime_scaling_check,
     wilson_interval,
@@ -257,24 +262,59 @@ class TestRunExperiment:
         assert lo <= point.success_rate <= hi
 
     def test_worker_count_does_not_change_bytes(self):
-        texts = []
-        for workers in (1, 3):
-            report = run_experiment(_small_config(n_values=[5, 7], workers=workers))
-            texts.append((report_csv(report),
-                          json.dumps(report_json_obj(report), indent=2, allow_nan=False)))
-        assert texts[0] == texts[1]
+        for fields in [
+            dict(n_values=[5, 7]),
+            # chunks of 7 at 2 workers and of 5 at 3 straddle the two points
+            dict(n_values=[5, 7], trials=50),
+            # 25 trials: chunks of 4 at 2 workers and of 3 at 3, neither divides 25
+            dict(algorithm="muea", n_values=[5, 6], mu_values=[4, 4], trials=25),
+        ]:
+            texts = []
+            for workers in (1, 2, 3):
+                report = run_experiment(_small_config(workers=workers, **fields))
+                texts.append((report_csv(report),
+                              json.dumps(report_json_obj(report), indent=2, allow_nan=False)))
+            assert texts[0] == texts[1] == texts[2], fields
+
+    @pytest.mark.parametrize("fields", [
+        dict(n_values=[5, 7], trials=50),
+        dict(algorithm="muea", n_values=[5, 6], mu_values=[4, 4], trials=25),
+    ], ids=["rls", "muea"])
+    def test_trials_replay_from_their_stream_keys(self, fields):
+        # trial t of point p draws from RandomStream(seed, p << 32 | t), whatever
+        # the order the pool runs it in; the benchmark's traced replay rebuilds it
+        config = _small_config(workers=2, **fields)
+        report = run_experiment(config)
+        grid = zip(config.n_values, config.resolved_mu(), config.budgets(), report.points)
+        for point, (n, mu, budget, result) in enumerate(grid):
+            counts = Counter()
+            for trial in range(config.trials):
+                rng = RandomStream(config.master_seed, (point << 32) | trial)
+                if config.algorithm == "muea":
+                    counts[run_alg2(n, mu, budget, rng, config.early_exit).kind] += 1
+                else:
+                    kind = harness.MUTATION[config.algorithm]
+                    counts[run_alg1(n, kind, budget, rng, config.early_exit).kind] += 1
+            assert [counts[kind] for kind in OutcomeKind] == [
+                result.opt_count, result.event_i_count, result.event_ii_count,
+                result.budget_count]
 
     def test_pool_capped_at_chunk_count(self, monkeypatch):
-        sizes = []
+        sizes, chunks = [], []
 
         class RecordingPool(ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2))  # never fork 64
 
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize)
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         report = run_experiment(_small_config(n_values=[5, 7], trials=2, workers=64))
         assert sizes == [2]  # one pool for both points, one process per one-trial chunk
+        assert chunks == [1]  # one map over the whole (point, trial) grid
         assert [p.trials for p in report.points] == [2, 2]
 
     @pytest.mark.parametrize("trials, workers, sizes", [
@@ -289,26 +329,33 @@ class TestRunExperiment:
     def test_trial_that_raises_is_counted_failed(self, monkeypatch):
         real_run_alg1 = harness.run_alg1
         calls = []
+        raising_call = 0
 
         def run_alg1(*args):
             calls.append(args)
-            if len(calls) == 3:
+            if len(calls) == raising_call:
                 raise RuntimeError("injected")
             return real_run_alg1(*args)
 
         monkeypatch.setattr(harness, "run_alg1", run_alg1)
-        report = run_experiment(_small_config(trials=10))
-        point = report.points[0]
-        assert point.failed_count == 1 and len(calls) == 10
-        assert (point.opt_count + point.event_i_count + point.event_ii_count
-                + point.budget_count) == 9
-        assert report.errors == ["RuntimeError: injected"]
-        assert report_csv(report).splitlines()[1].startswith("rls,5,1,10,")
+        # the 13th call is trial 2 of the second point, which must be charged with it
+        for n_values, raising_call, failed in [([5], 3, [1]), ([5, 7], 13, [0, 1])]:
+            calls.clear()
+            report = run_experiment(_small_config(n_values=n_values, trials=10))
+            assert [p.failed_count for p in report.points] == failed
+            assert len(calls) == 10 * len(n_values)
+            for point in report.points:
+                assert (point.opt_count + point.event_i_count + point.event_ii_count
+                        + point.budget_count + point.failed_count) == 10
+            assert report.errors == ["RuntimeError: injected"]
+            rows = report_csv(report).splitlines()[1:]
+            assert all(row.startswith(f"rls,{n},1,10,")
+                       for row, n in zip(rows, n_values, strict=True))
 
     def test_trial_that_raises_leaves_the_others_unchanged(self, monkeypatch):
         # each process re-keys one stream per trial, so a trial that raises
         # part-way through its draws must leave nothing for the next trial
-        args = ("oea", 6, 1, harness.default_budget_alg1(6), 20240901, 0, True)
+        args = ("oea", 20240901, True, [(6, 1, harness.default_budget_alg1(6))], 10)
         clean = [harness._run_trial(*args, t) for t in range(10)]
         real_run_alg1 = harness.run_alg1
         calls = []
