@@ -293,8 +293,8 @@ class TestRunExperiment:
                 if config.algorithm == "muea":
                     counts[run_alg2(n, mu, budget, rng, config.early_exit).kind] += 1
                 else:
-                    kind = harness.MUTATION[config.algorithm]
-                    counts[run_alg1(n, kind, budget, rng, config.early_exit).kind] += 1
+                    mutation = harness.MUTATION[config.algorithm]
+                    counts[run_alg1(n, mutation, budget, rng, config.early_exit).kind] += 1
             assert [counts[kind] for kind in OutcomeKind] == [
                 result.opt_count, result.event_i_count, result.event_ii_count,
                 result.budget_count]
