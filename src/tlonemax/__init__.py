@@ -23,7 +23,6 @@ from .algorithms import (
 from .oracle import (
     AbsorptionResult,
     aux_ineq,
-    chernoff_additive,
     chernoff_geometric,
     chernoff_lower,
     lemma2_bruteforce,

@@ -1,9 +1,9 @@
 """Exact and closed-form mathematics backing the simulations.
 
 Contains the conditional single-step-gain probability (closed form plus an
-independent brute-force enumeration), the tail-bound evaluators, the
-monotone helper functions, the probability bounds of the main results, and
-exact Markov absorption solvers for the single-individual algorithm, both
+independent brute-force enumeration), two Chernoff tail-bound evaluators,
+the monotone helper functions, the probability bounds of the main results,
+and exact Markov absorption solvers for the single-individual algorithm, both
 over the full 2^(n+1)-state chain and over its symmetry-lumped 4n-state
 reduction, which ``tlonemax markov`` prints (the full chain is its reference
 for n <= 10).  The full chain's kernels look up one weight per Hamming
@@ -26,6 +26,10 @@ the number of transient states) over the run of classes its rows reach, and
 no dense transition matrix.
 ``scipy.special`` is imported only inside the log-space helpers, so
 importing this module or solving either chain loads no scipy.
+
+Theorems 2 and 3 read two of their tail terms through the evaluators:
+``chernoff_lower`` gives the (mu + 2) e^(-n/8) term and
+``chernoff_geometric`` the delta term.
 """
 
 from __future__ import annotations
@@ -128,7 +132,12 @@ def lemma2_lower_bound(n: int, a: int) -> float:
 # ---------------------------------------------------------------------------
 
 def chernoff_lower(expectation: float, delta: float) -> float:
-    """exp(-delta^2 E / 2) for [0,1]-valued summands, delta in [0,1]."""
+    """exp(-delta^2 E / 2) for [0,1]-valued summands, delta in [0,1].
+
+    Bounds P[X <= (1 - delta) E] for a sum X of independent summands with
+    expectation E.  At E = n and delta = 1/2 it is the e^(-n/8) that
+    Theorems 2 and 3 charge mu + 2 times.
+    """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0,1], got {delta}")
     if expectation < 0:
@@ -136,31 +145,19 @@ def chernoff_lower(expectation: float, delta: float) -> float:
     return math.exp(-delta * delta * expectation / 2.0)
 
 
-def chernoff_additive(lengths, lam: float) -> float:
-    """exp(-2 lambda^2 / sum(c_i)) for summands confined to intervals of length c_i."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    total = float(sum(lengths))
-    if total <= 0:
-        raise ValueError("interval lengths must sum to a positive value")
-    return math.exp(-2.0 * lam * lam / total)
+def chernoff_geometric(m: int, delta: float) -> float:
+    """exp(-delta^2 (m - 1) / (2 (1 + delta))), delta >= 0.
 
-
-def chernoff_geometric(m: int, p: float, delta: float, side: str = "upper") -> float:
-    """Tail bounds for a sum of m geometric variables with success probability p."""
+    Bounds the upper tail of a sum of m independent geometric variables, at
+    (1 + delta) times its expectation.  At m = n it is the delta term of
+    Theorems 2 and 3.  The exponent is halved before it is divided by
+    1 + delta, so a delta near the float maximum gives 0, not inf/inf.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0,1], got {p}")
-    if side == "upper":
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        return math.exp(-delta * delta * (m - 1) / (2.0 * (1.0 + delta)))
-    if side == "lower":
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError(f"delta must be in [0,1], got {delta}")
-        return math.exp(-delta * delta * m / (2.0 - 4.0 * delta / 3.0))
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    return math.exp(-delta * delta * (m - 1) / 2.0 / (1.0 + delta))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +225,8 @@ def _population_bound(n: int, mu: int, delta: float, coeff: float) -> float:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     return (
         1.0
-        - (mu + 2) * math.exp(-n / 8.0)
-        - math.exp(-delta * delta * (n - 1) / (2.0 * (1.0 + delta)))
+        - (mu + 2) * chernoff_lower(n, 0.5)
+        - chernoff_geometric(n, delta)
         - coeff * n * math.exp(-math.sqrt(n) / 20.0)
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,6 +192,16 @@ class TestRunCommand:
         assert point["opt_count"] == 0
         assert point["cond_mean_gens"] is None and point["cond_var_gens"] is None
 
+    def test_float_maximum_delta_gives_valid_json(self, capsys):
+        # the theorem bound was nan, so the report was not JSON and the run exited 1
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["run", "--alg", "muea", "--n", "6", "--mu", "3", "--trials", "4",
+                     "--delta", "1e308", "--workers", "1", "--format", "json"]) == 0
+        point = json.loads(capsys.readouterr().out, parse_constant=reject)["points"][0]
+        assert point["theorem_bound"] == 1 - 5 * math.exp(-0.75) - 12 * math.exp(-math.sqrt(6) / 20)
+
     def test_mu_for_single_individual_exits_one(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"algorithm": "rls", "n_values": [6], "mu_values": [5]}))
@@ -280,6 +291,50 @@ class TestSweepCommand:
         assert len(captured.out.splitlines()) == 3
         assert captured.err == (
             "# scaling: scaling check needs >= 2 points with successful trials\n")
+
+
+# `tlonemax bounds --n 2,10,118,119,20551,1000000`, below its header line
+_BOUNDS_GUARANTEED = (
+    "2,110,theorem1_failure_lb,-3.83844,True\n"
+    "2,110,theorem2_success_lb,-90.9526,True\n"
+    "2,110,theorem3_event_lb,-92.8161,True\n"
+    "10,403,theorem1_failure_lb,-5.70534,True\n"
+    "10,403,theorem2_success_lb,-133.109,True\n"
+    "10,403,theorem3_event_lb,-141.647,True\n"
+    "118,4358,theorem1_failure_lb,-19.3423,True\n"
+    "118,4358,theorem2_success_lb,-137.099,True\n"
+    "118,4358,theorem3_event_lb,-205.648,True\n"
+    "119,4394,theorem1_failure_lb,-19.4046,True\n"
+    "119,4394,theorem2_success_lb,-137.944,True\n"
+    "119,4394,theorem3_event_lb,-206.915,True\n"
+    "20551,752602,theorem1_failure_lb,4.66753e-05,False\n"
+    "20551,752602,theorem2_success_lb,-31.69,True\n"
+    "20551,752602,theorem3_event_lb,-47.535,True\n"
+    "1000000,36619419,theorem1_failure_lb,0.962817,False\n"
+    "1000000,36619419,theorem2_success_lb,4.99659e-13,False\n"
+    "1000000,36619419,theorem3_event_lb,4.99466e-13,False\n"
+)
+# the same with `--mu 5`
+_BOUNDS_MU_5 = (
+    "2,5,theorem1_failure_lb,-3.83844,True\n"
+    "2,5,theorem2_success_lb,-9.17853,True\n"
+    "2,5,theorem3_event_lb,-11.042,True\n"
+    "10,5,theorem1_failure_lb,-5.70534,True\n"
+    "10,5,theorem2_success_lb,-19.0806,True\n"
+    "10,5,theorem3_event_lb,-27.6181,True\n"
+    "118,5,theorem1_failure_lb,-19.3423,True\n"
+    "118,5,theorem2_success_lb,-137.098,True\n"
+    "118,5,theorem3_event_lb,-205.646,True\n"
+    "119,5,theorem1_failure_lb,-19.4046,True\n"
+    "119,5,theorem2_success_lb,-137.942,True\n"
+    "119,5,theorem3_event_lb,-206.913,True\n"
+    "20551,5,theorem1_failure_lb,4.66753e-05,False\n"
+    "20551,5,theorem2_success_lb,-31.69,True\n"
+    "20551,5,theorem3_event_lb,-47.535,True\n"
+    "1000000,5,theorem1_failure_lb,0.962817,False\n"
+    "1000000,5,theorem2_success_lb,4.99659e-13,False\n"
+    "1000000,5,theorem3_event_lb,4.99466e-13,False\n"
+)
 
 
 class TestTableCommands:
@@ -425,6 +480,17 @@ class TestTableCommands:
         assert lines[0] == "n,mu,bound,value,vacuous"
         assert len(lines) == 4
         assert all(line.split(",")[1] == "769" for line in lines[1:])
+        # pinned across commits, at the guaranteed size and at a fixed mu
+        for mu_args, table in (([], _BOUNDS_GUARANTEED), (["--mu", "5"], _BOUNDS_MU_5)):
+            assert main(["bounds", "--n", "2,10,118,119,20551,1000000", *mu_args]) == 0
+            assert capsys.readouterr().out == "n,mu,bound,value,vacuous\n" + table
+
+    def test_bounds_at_the_float_maximum_delta(self, capsys):
+        # 2 (1 + delta) overflowed and the theorem 2 and 3 rows read nan
+        assert main(["bounds", "--n", "20", "--mu", "5", "--delta", "1e308"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.endswith(",True") and "nan" not in row for row in rows)
 
 
 class TestCheckCommand:
