@@ -4,10 +4,8 @@ Every trial draws from its own stream derived from (master seed, point
 index, trial index), and an experiment is one ordered map over its (point,
 trial) grid, so the report bytes never depend on the worker count.  Each
 process keeps one ``RandomStream`` and re-keys it for every trial; its
-draws are identical to a fresh ``RandomStream(master_seed, key)``.  The
-reports' 95% Wilson intervals take z from a constant; ``scipy.special`` is
-imported only for another confidence, so importing the package, running an
-experiment and writing its report load no scipy.
+draws are identical to a fresh ``RandomStream(master_seed, key)``.  Wilson
+intervals take z from ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from statistics import NormalDist
 from typing import Iterable
 
 from .algorithms import (
@@ -230,31 +229,24 @@ class ExperimentReport:
     errors: list[str] = field(default_factory=list)
 
 
-# the standard normal quantile at 0.975, equal to scipy.special.ndtri(0.975)
-_Z95 = 1.959963984540054
-
-
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
-    if confidence == 0.95:
-        z = _Z95
-    else:
-        from scipy.special import ndtri
-
-        z = ndtri(1.0 - (1.0 - confidence) / 2.0)
+    # 1 - 2**-53, the one float between this range and 1, would round the
+    # quantile's argument to 1, where z is infinite
+    if not 0.0 < confidence <= 1.0 - 2**-52:
+        raise ValueError(f"confidence must be in (0, 1 - 2**-52], got {confidence}")
+    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     # the boundary endpoints are exactly 0 and 1; keep them free of rounding
-    lo = 0.0 if successes == 0 else max(0.0, float(center - half))
-    hi = 1.0 if successes == trials else min(1.0, float(center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
 
 

@@ -24,8 +24,6 @@ back-substitution over blocks of consecutive whole fitness levels, from the
 highest down, with one linear solve per block (of about the square root of
 the number of transient states) over the run of classes its rows reach, and
 no dense transition matrix.
-``scipy.special`` is imported only inside the log-space helpers, so
-importing this module or solving either chain loads no scipy.
 
 Theorems 2 and 3 read two of their tail terms through the evaluators:
 ``chernoff_lower`` gives the (mu + 2) e^(-n/8) term and
@@ -140,8 +138,8 @@ def chernoff_lower(expectation: float, delta: float) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0,1], got {delta}")
-    if expectation < 0:
-        raise ValueError("expectation must be non-negative")
+    if not 0.0 <= expectation < math.inf:
+        raise ValueError(f"expectation must be finite and >= 0, got {expectation}")
     return math.exp(-delta * delta * expectation / 2.0)
 
 
@@ -155,8 +153,10 @@ def chernoff_geometric(m: int, delta: float) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if m == 1:  # no slack term; delta * delta may overflow, and inf * 0 is nan
+        return 1.0
     return math.exp(-delta * delta * (m - 1) / 2.0 / (1.0 + delta))
 
 
@@ -168,11 +168,14 @@ def h1_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
     """log of h1 = C(a+d-1, d) / n^(d+1), strictly decreasing in d on [0, n-a-1].
 
     Over an integer array of d, with one row per a for a column of a; log space avoids underflow.
+    Defined on the integers a >= 1 and d >= 0; any other a or d raises.
     """
-    from scipy.special import gammaln
-
-    d = np.asarray(d, dtype=float)
-    return gammaln(a + d) - gammaln(d + 1) - gammaln(a) - (d + 1) * math.log(n)
+    a, d = np.asarray(a), np.asarray(d)
+    if a.dtype.kind != "i" or d.dtype.kind != "i" or np.any(a < 1) or np.any(d < 0):
+        raise ValueError(f"a must be integers >= 1 and d integers >= 0, got a={a}, d={d}")
+    # log-gamma at 1..max(a + d), so that lgamma(k) sits at index k - 1
+    lgamma = np.array([math.lgamma(k) for k in range(1, int(np.max(a + d, initial=1)) + 1)])
+    return lgamma[a + d - 1] - lgamma[d] - lgamma[a - 1] - (d + 1) * math.log(n)
 
 
 def h2_log(a: int | np.ndarray, n: int, d: np.ndarray) -> np.ndarray:

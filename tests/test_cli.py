@@ -21,6 +21,7 @@ from tlonemax import (
 )
 from tlonemax.acceptance import CriterionResult, run_criteria
 from tlonemax.cli import main
+from tlonemax.oracle import h1_log, h2_log
 
 _HUGE = "1" + "0" * 400  # 10**400, far past the largest float
 
@@ -527,9 +528,15 @@ loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 from tlonemax import MutationKind, markov_lumped_absorption, wilson_interval
 print(repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()))
+from tlonemax.oracle import h1_log, h2_log
+results = [
+    wilson_interval(3, 10), wilson_interval(3, 10, 0.99),
+    h1_log(2, 5, [1]).tolist(), h2_log(2, 5, [2]).tolist(),
+]
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
-print(repr(wilson_interval(3, 10)))
+for result in results:
+    print(repr(result))
 """
 
 
@@ -544,8 +551,8 @@ def test_readme_command_lines_parse():
 
 
 def test_import_loads_no_scipy():
-    """scipy loads only inside the calls that need it, so a new process starts fast,
-    and neither an experiment with its report nor the lumped chain loads any."""
+    """No call loads scipy: not the import, an experiment with its report, the
+    lumped chain, a Wilson interval at any confidence or the log-space helpers."""
     src = os.path.dirname(os.path.dirname(tlonemax.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
@@ -554,4 +561,7 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == [
         repr(markov_lumped_absorption(8, MutationKind.BITWISE).failure_probability()),
         repr(wilson_interval(3, 10)),
+        repr(wilson_interval(3, 10, 0.99)),
+        repr(h1_log(2, 5, [1]).tolist()),
+        repr(h2_log(2, 5, [2]).tolist()),
     ]

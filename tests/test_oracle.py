@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -105,6 +106,10 @@ class TestTailBounds:
         assert chernoff_geometric(11, 1.0) == pytest.approx(math.exp(-2.5))
         # 2 (1 + delta) overflows here, and inf / inf would be nan
         assert chernoff_geometric(20, 1e308) == 0.0
+        # one summand has no tail; delta * delta overflows from about 1.34e154,
+        # and inf * (m - 1) would be nan
+        for delta in (0.0, 0.5, 1e154, 1e200, sys.float_info.max):
+            assert chernoff_geometric(1, delta) == 1.0
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 1.0))
     def test_lower_bound_in_unit_interval(self, expectation, delta):
@@ -126,6 +131,12 @@ class TestTailBounds:
             chernoff_geometric(0, 0.1)
         with pytest.raises(ValueError):
             chernoff_geometric(5, -0.1)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^delta must be finite"):
+                chernoff_geometric(5, delta)
+        for expectation, delta in ((math.inf, 0.0), (math.nan, 0.5)):
+            with pytest.raises(ValueError, match="^expectation must be finite"):
+                chernoff_lower(expectation, delta)
 
 
 class TestMonotoneHelpers:
@@ -140,6 +151,14 @@ class TestMonotoneHelpers:
             h2 = Fraction(math.comb(a + d, d), n ** (d + 1))  # h2 at d+1
             assert h1_log(a, n, [d])[0] == pytest.approx(math.log(h1), rel=1e-12)
             assert h2_log(a, n, [d + 1])[0] == pytest.approx(math.log(h2), rel=1e-12)
+
+    def test_domain_is_the_integers(self):
+        # a = 0 would index the log-gamma table at -1, which wraps to its end
+        for a, d in ((0, [1]), (2, [-1]), (np.arange(0, 3)[:, None], [1]), (2, [0.5]), (2.0, [1])):
+            with pytest.raises(ValueError, match="^a must be integers"):
+                h1_log(a, 5, d)
+        with pytest.raises(ValueError):
+            h2_log(2, 5, [0])
 
     def test_strictly_decreasing_small_grid(self):
         for n in (5, 20, 80):
